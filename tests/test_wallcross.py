@@ -1,5 +1,7 @@
 """Crossing-change connecting maps and resolution-cube homology."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 from braidhom.braid import Word
@@ -162,6 +164,44 @@ def test_folded_cone_empty_for_single_crossing():
 
 def test_folded_cone_table_for_singular_trefoil():
     assert cone_table("2: 1! 1 1", N=2) == CONE_TABLE_N2
+
+
+def dims_digest(dims: dict) -> str:
+    rows = sorted([k, list(sigma), d] for (k, sigma), d in dims.items())
+    text = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (word, rank, scan range, (slices, total dim, digest) of the source and
+# of the target slice dimensions) of the folded connecting map at N=2
+FOLDED_WALL_MAPS = [
+    ("2: 1!", 27, (-3, 23),
+     (53, 53, "0a41a5ffc29a0d909a3f87edfa71333c"
+              "73806378dbbd9a89b9a15f2ef33a48ed"),
+     (53, 53, "24bf219eeb48ab7fcca2b63a85bc5b1b"
+              "6816fccc160d9389036cdf54e515fc0d")),
+    ("2: 1! 1 1", 141, (-3, 27),
+     (114, 387, "800123c93c6ca4a5e0ce809d282984ff"
+                "ba8478319e645dc7a41e2bb157c144de"),
+     (112, 390, "97ca7e0ddbaa2d3602b52bebceb68116"
+                "48b030d38f73aecd10706d6a80ebe207")),
+]
+
+
+def test_folded_connecting_map_snake_lifts():
+    # the folded snake path: parity slices, weight-blocked inclusion and
+    # projection, lifts through the (q, parity) -> (q + 3, 1 - parity)
+    # column differential
+    for text, rank, scan, src, tgt in FOLDED_WALL_MAPS:
+        wmap, report = wall_crossing_map(Word.parse(text), N=2)
+        assert report["stabilized"], text
+        assert report["scan_range"] == scan, text
+        assert wmap["rank"] == rank, text
+        for dims, (count, total, digest) in [(wmap["source_dims"], src),
+                                             (wmap["target_dims"], tgt)]:
+            assert len(dims) == count, text
+            assert sum(dims.values()) == total, text
+            assert dims_digest(dims) == digest, text
 
 
 def test_folded_cone_outside_its_domain_raises():
