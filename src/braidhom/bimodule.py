@@ -129,9 +129,6 @@ class Bimodule:
             out = mat_add(out, mat_scale(xpart, m))
         return out
 
-    def pair_index(self, a: int, b: int, other_rank: int) -> int:
-        return a * other_rank + b
-
     def tensor(self, other: "Bimodule") -> "Bimodule":
         """M (x)_S N: basis e_a (x) f_b ordered with the left factor major.
 
@@ -256,10 +253,6 @@ class BimoduleMap:
 
 def identity_map(m: Bimodule) -> BimoduleMap:
     return BimoduleMap(m, m, mat_identity(m.rank, m.n))
-
-
-def zero_map(src: Bimodule, tgt: Bimodule) -> BimoduleMap:
-    return BimoduleMap(src, tgt, {})
 
 
 def identity_bimodule(n: int) -> Bimodule:

@@ -21,10 +21,14 @@ class Word:
     entries: tuple  # of (strand index i, kind)
 
     def __post_init__(self):
-        assert self.n >= 1
+        if self.n < 1:
+            raise ValueError(f"a braid needs a strand, got n={self.n}")
         for i, kind in self.entries:
-            assert 1 <= i < self.n, f"letter index {i} out of range for n={self.n}"
-            assert kind in (POS, NEG, SING)
+            if not 1 <= i < self.n:
+                raise ValueError(
+                    f"letter index {i} out of range for n={self.n}")
+            if kind not in (POS, NEG, SING):
+                raise ValueError(f"unknown letter kind {kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -117,15 +121,3 @@ class Word:
         for pos, c in zip(sings, choice):
             entries[pos] = (entries[pos][0], c)
         return Word(self.n, tuple(entries))
-
-    def connected_sum(self, other: "Word") -> "Word":
-        """Stack the two words on n1 + n2 - 1 strands (closure = sum)."""
-        shift = self.n - 1
-        entries = list(self.entries)
-        entries += [(i + shift, k) for i, k in other.entries]
-        return Word(self.n + other.n - 1, tuple(entries))
-
-    def signed_letters(self) -> list:
-        """Letters as signed integers; only valid for non-singular words."""
-        assert not self.is_singular
-        return [i * k for i, k in self.entries]

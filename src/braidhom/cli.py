@@ -25,7 +25,7 @@ from .braid import Word
 from .conventions import (conventions_block, homology_euler_as_skein,
                           match_exact, match_up_to_monomial,
                           oracle_specialized, sln_euler)
-from .homology import DegreeWindow, homfly_homology
+from .homology import DegreeWindow, check_N, homfly_homology
 from .mfact import sln_homology
 from .oracle import homfly_oracle, oracle_self_test, vassiliev_oracle
 from .wallcross import vassiliev_complex
@@ -43,9 +43,7 @@ def _parse_n_flag(text):
         val = int(text)
     except ValueError:
         raise ValueError(f"--N wants a positive integer or 'inf', got {text!r}")
-    if val < 1:
-        raise ValueError("--N must be at least 1")
-    return val
+    return check_N(val)
 
 
 def _window(args) -> DegreeWindow:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .bimodule import (Bimodule, BimoduleMap, aux_bimodules,
                        identity_bimodule, identity_map, mat_clean, mat_eq,
                        mat_mul, merge_projection, split_inclusion)
-from .braid import NEG, POS, Word
+from .braid import POS, Word
 from .poly import Poly
 
 
@@ -71,14 +71,6 @@ class BComplex:
     @property
     def total_rank(self) -> int:
         return sum(m.rank for m in self.objs.values())
-
-    def shift_internal(self, a: int) -> "BComplex":
-        if a == 0:
-            return self
-        objs = {k: m.shift(a) for k, m in self.objs.items()}
-        diffs = {k: BimoduleMap(objs[k], objs[k + 1], d.mat)
-                 for k, d in self.diffs.items()}
-        return BComplex(self.n, objs, diffs)
 
     def shift_homological(self, s: int) -> "BComplex":
         """C[s]^k = C^(k+s); odd shifts negate the differential."""
@@ -249,23 +241,6 @@ def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(src, tgt, comps)
 
 
-def euler_characteristic(C: BComplex):
-    """Graded Euler characteristic sum_k (-1)^k q^(gen degrees) as a
-    Laurent polynomial in the internal variable (first slot unused).
-
-    Additive along cones: for a chain map f: X -> Y the cone satisfies
-    chi(cone f) = chi(Y) - chi(X), since degree k of the cone is
-    X^(k+1) (+) Y^k.
-    """
-    from .laurent import Laurent2
-    out = Laurent2.zero()
-    for k, m in C.objs.items():
-        s = -1 if k % 2 else 1
-        for g in m.gens:
-            out = out + Laurent2.monomial(0, g, s)
-    return out
-
-
 def positive_crossing_complex(n: int, i: int) -> BComplex:
     f = split_inclusion(n, i)
     return BComplex(n, {-1: f.src, 0: f.tgt}, {-1: f})
@@ -284,8 +259,10 @@ def letter_complex(n: int, i: int, kind: int) -> BComplex:
 def rouquier_complex(word: Word) -> BComplex:
     """Tensor of the letter complexes of a non-singular braid word."""
     out = BComplex.identity(word.n)
+    if word.is_singular:
+        raise ValueError("singular letters need the cube construction "
+                         "(vassiliev)")
     for i, kind in word.entries:
-        assert kind in (POS, NEG), "singular letters need the cube construction"
         out = tensor(out, letter_complex(word.n, i, kind))
     return out
 

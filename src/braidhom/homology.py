@@ -27,6 +27,14 @@ Internal degrees are scanned upward from the lowest generator degree
 until a configurable run of degrees contributes no homology past the
 highest generator degree (knots have finite-dimensional homology, so
 the scan terminates; links may be truncated, which is reported).
+
+The two stages are one slice engine, shared with the sl(N) pipeline
+(mfact) and the resolution cube (wallcross): a slicer cuts a column
+into finite slices (ColumnSlices keyed (p, j), FoldedSlices keyed
+(q, parity) for folded columns), slice_subquotient is stage one,
+induced_matrix pushes classes for stage two, tower_homology takes the
+word-direction homology, ColumnData holds the columns of one word
+complex, and scan_degrees runs the degree scan.
 """
 
 from __future__ import annotations
@@ -34,10 +42,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bimodule import (Bimodule, GradedFreeBasis, graded_map_entries,
-                       identity_bimodule)
+from .bimodule import Bimodule, GradedFreeBasis, graded_map_entries
 from .braid import Word
-from .complexes import rouquier_complex
+from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
 from .linalg import Echelon, SubquotientBasis, mat_vec, matrix_rank, \
@@ -60,6 +67,14 @@ class DegreeWindow:
 
     def __repr__(self):
         return f"DegreeWindow(max_degree={self.max_degree}, margin={self.margin})"
+
+
+def check_N(N) -> int:
+    """The rank N of an sl(N) specialization, checked to be a positive
+    int."""
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    return N
 
 
 class TriGradedSpace:
@@ -139,46 +154,65 @@ class TriGradedSpace:
 # columns
 
 
+def _by_column(m: dict) -> dict:
+    out: dict = {}
+    for (r, c), p in m.items():
+        out.setdefault(c, []).append((r, p))
+    return out
+
+
+def exterior_column(M: Bimodule, top: int, c: int,
+                    adders: dict) -> DiffObject:
+    """M (x) Lambda on the directions 1..top-1.
+
+    Generators are labelled (a, J) with a a generator index of M and J a
+    sorted tuple of directions; hdeg |J|, internal degree g_a + c|J|.
+    The differential removes each direction of J with alternating signs
+    through x_j - (right action of x_j), and adds each missing direction
+    j with an entry in adders = {j: matrix} through adders[j], signed by
+    the position j takes in the sorted tuple.
+    """
+    removers = {j: _by_column(M.action_difference(j)) for j in range(1, top)}
+    adders = {j: _by_column(m) for j, m in adders.items()}
+    gens, labels, index = [], [], {}
+    for p in range(top):
+        for J in itertools.combinations(range(1, top), p):
+            for a in range(M.rank):
+                index[(a, J)] = len(gens)
+                gens.append((p, M.gens[a] + c * p))
+                labels.append((a, J))
+    diff: dict = {}
+
+    def accumulate(key, add):
+        cur = diff.get(key)
+        tot = add if cur is None else cur + add
+        if tot:
+            diff[key] = tot
+        elif cur is not None:
+            del diff[key]
+
+    for (a, J), col in index.items():
+        for t, jdir in enumerate(J):
+            jred = J[:t] + J[t + 1:]
+            for b, q in removers[jdir].get(a, ()):
+                accumulate((index[(b, jred)], col), q if t % 2 == 0 else -q)
+        for jdir, by_col in adders.items():
+            if jdir in J:
+                continue
+            jext = tuple(sorted(J + (jdir,)))
+            sgn = sum(1 for l in J if l < jdir) % 2
+            for b, q in by_col.get(a, ()):
+                accumulate((index[(b, jext)], col), -q if sgn else q)
+    return DiffObject(M.n, gens, diff, labels)
+
+
 def koszul_column(M: Bimodule) -> DiffObject:
     """Contraction column of a bimodule: M (x) Lambda(n-1 directions).
 
-    Generators are labelled (a, J) with a a generator index of M and J a
-    sorted tuple of directions from {1..n-1}; hdeg |J|, internal degree
-    g_a + 2|J|.  The differential removes directions with alternating
-    signs through the operators x_j - (right action of x_j), so it drops
-    hdeg by one and preserves the internal degree.
+    The differential only removes directions, so it drops hdeg by one
+    and preserves the internal degree (each direction has degree 2).
     """
-    n = M.n
-    phis = {}
-    cols_of = {}
-    for j in range(1, n):
-        m = M.action_difference(j)
-        phis[j] = m
-        by_col: dict = {}
-        for (r, c), p in m.items():
-            by_col.setdefault(c, []).append((r, p))
-        cols_of[j] = by_col
-    gens, labels, index = [], [], {}
-    for p in range(n):
-        for J in itertools.combinations(range(1, n), p):
-            for a in range(M.rank):
-                index[(a, J)] = len(gens)
-                gens.append((p, M.gens[a] + 2 * p))
-                labels.append((a, J))
-    diff: dict = {}
-    for (a, J), c in index.items():
-        for t, jdir in enumerate(J):
-            jred = J[:t] + J[t + 1:]
-            for b, q in cols_of[jdir].get(a, ()):
-                key = (index[(b, jred)], c)
-                add = q if t % 2 == 0 else -q
-                cur = diff.get(key)
-                tot = add if cur is None else cur + add
-                if tot:
-                    diff[key] = tot
-                elif cur is not None:
-                    del diff[key]
-    return DiffObject(n, gens, diff, labels)
+    return exterior_column(M, M.n, 2, {})
 
 
 def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
@@ -195,27 +229,50 @@ def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
     return out
 
 
-class ColumnSlices:
-    """Cached finite-dimensional graded slices of one column.
+# ---------------------------------------------------------------------------
+# slicers
+#
+# A slicer cuts one column into finite-dimensional slices keyed sigma and
+# answers sigmas(deg), dim(sigma), next(sigma) / prev(sigma) (the slices
+# the column differential maps sigma to and from), diff(sigma) (that
+# differential, in slice coordinates) and cross(map, other, sigma) (the
+# slice block of a degree-0 map from this column to another column).
 
-    Generators are grouped by hdeg when split=True (contraction columns)
-    or lumped into group 0 when split=False (folded factorizations,
-    where the differential moves the internal degree instead).
-    """
+
+def _restrict(mat: dict, pos_s, pos_t) -> dict:
+    """Entries of mat between two generator groups, reindexed locally."""
+    return {(pos_t[r], pos_s[c]): p for (r, c), p in mat.items()
+            if c in pos_s and r in pos_t}
+
+
+class ColumnSlices:
+    """Contraction slicer, keyed sigma = (p, j): exterior weight p and
+    internal degree j.  The differential maps (p, j) to (p - 1, j).
+    Bases and differential blocks are cached."""
 
     __slots__ = ("col", "groups", "two_sided", "_bases", "_mats", "_pos")
 
-    def __init__(self, col: DiffObject, split: bool = True,
-                 two_sided: bool = False):
+    def __init__(self, col: DiffObject, two_sided: bool = False):
         self.col = col
         self.two_sided = two_sided
         self.groups: dict = {}
         for idx, (h, _q) in enumerate(col.gens):
-            self.groups.setdefault(h if split else 0, []).append(idx)
+            self.groups.setdefault(h, []).append(idx)
         self._pos = {h: {g: i for i, g in enumerate(ids)}
                      for h, ids in self.groups.items()}
         self._bases: dict = {}
         self._mats: dict = {}
+
+    def sigmas(self, deg: int) -> list:
+        return [(p, deg) for p in self.groups]
+
+    def next(self, sigma):
+        p, j = sigma
+        return (p - 1, j)
+
+    def prev(self, sigma):
+        p, j = sigma
+        return (p + 1, j)
 
     def basis(self, h: int, j: int):
         key = (h, j)
@@ -229,69 +286,150 @@ class ColumnSlices:
                                                    self.two_sided)
         return self._bases[key]
 
-    def restricted(self, h_src: int, h_tgt: int, mat: dict) -> dict:
-        """Entries of mat between two hdeg groups, reindexed locally."""
-        pos_s, pos_t = self._pos.get(h_src), self._pos.get(h_tgt)
-        if pos_s is None or pos_t is None:
+    def dim(self, sigma) -> int:
+        b = self.basis(*sigma)
+        return b.dim if b is not None else 0
+
+    def _block(self, mat: dict, other: "ColumnSlices", src, tgt) -> dict:
+        """Scalar block of a poly matrix from slice src of this column
+        to slice tgt of other."""
+        bs, bt = self.basis(*src), other.basis(*tgt)
+        if bs is None or bt is None or bs.dim == 0 or bt.dim == 0:
             return {}
-        return {(pos_t[r], pos_s[c]): p for (r, c), p in mat.items()
-                if c in pos_s and r in pos_t}
+        loc = _restrict(mat, self._pos[src[0]], other._pos[tgt[0]])
+        return graded_map_entries(loc, bs, bt)
 
-    def matrix(self, h_src: int, j_src: int, h_tgt: int, j_tgt: int) -> dict:
+    def matrix(self, src, tgt) -> dict:
         """Scalar matrix of the column differential between two slices."""
-        key = (h_src, j_src, h_tgt, j_tgt)
-        if key not in self._mats:
-            bs, bt = self.basis(h_src, j_src), self.basis(h_tgt, j_tgt)
-            if bs is None or bt is None or bs.dim == 0 or bt.dim == 0:
-                self._mats[key] = {}
-            else:
-                loc = self.restricted(h_src, h_tgt, self.col.diff)
-                self._mats[key] = graded_map_entries(loc, bs, bt)
-        return self._mats[key]
+        if (src, tgt) not in self._mats:
+            self._mats[(src, tgt)] = self._block(self.col.diff, self, src, tgt)
+        return self._mats[(src, tgt)]
+
+    def diff(self, sigma) -> dict:
+        return self.matrix(sigma, self.next(sigma))
+
+    def cross(self, mat: dict, other: "ColumnSlices", sigma) -> dict:
+        return self._block(mat, other, sigma, sigma)
 
 
-def cross_matrix(mat: dict, src: ColumnSlices, tgt: ColumnSlices,
-                 h: int, j_src: int, j_tgt: int) -> dict:
-    """Scalar slice of a degree-0 map between two columns at one hdeg."""
-    bs, bt = src.basis(h, j_src), tgt.basis(h, j_tgt)
-    if bs is None or bt is None or bs.dim == 0 or bt.dim == 0:
-        return {}
-    pos_s, pos_t = src._pos.get(h), tgt._pos.get(h)
-    loc = {(pos_t[r], pos_s[c]): p for (r, c), p in mat.items()
-           if c in pos_s and r in pos_t}
-    return graded_map_entries(loc, bs, bt)
+class FoldedSlices:
+    """Folded slicer, keyed sigma = (q, parity): the slice concatenates
+    the weight-p pieces of collapsed degree q for the weights p of that
+    parity, ascending.  The differential moves the weight by one either
+    way and maps (q, parity) to (q + N + 1, 1 - parity); degree-0 maps
+    are block diagonal over the weights."""
+
+    __slots__ = ("sl", "N", "_offsets")
+
+    def __init__(self, col: DiffObject, N: int):
+        self.sl = ColumnSlices(col)
+        self.N = N
+        self._offsets: dict = {}
+
+    def sigmas(self, deg: int) -> list:
+        return [(deg, 0), (deg, 1)]
+
+    def next(self, sigma):
+        q, parity = sigma
+        return (q + self.N + 1, 1 - parity)
+
+    def prev(self, sigma):
+        q, parity = sigma
+        return (q - self.N - 1, 1 - parity)
+
+    def offsets(self, sigma):
+        """({weight: offset of its block}, slice dimension)."""
+        if sigma not in self._offsets:
+            q, parity = sigma
+            offsets, dim = {}, 0
+            for p in sorted(self.sl.groups):
+                d = self.sl.dim((p, q)) if p % 2 == parity else 0
+                if d:
+                    offsets[p] = dim
+                    dim += d
+            self._offsets[sigma] = (offsets, dim)
+        return self._offsets[sigma]
+
+    def dim(self, sigma) -> int:
+        return self.offsets(sigma)[1]
+
+    def weight(self, sigma, index: int) -> int:
+        """Weight of the block holding one slice coordinate."""
+        return max(p for p, off in self.offsets(sigma)[0].items()
+                   if off <= index)
+
+    def _blocks(self, src: dict, tgt: dict, steps, block) -> dict:
+        """Concatenate block(p, pt) over the weights p of src and
+        pt = p + step of tgt."""
+        out: dict = {}
+        for p, off in src.items():
+            for pt in (p + step for step in steps):
+                if pt in tgt:
+                    for (r, c), v in block(p, pt).items():
+                        out[(tgt[pt] + r, off + c)] = v
+        return out
+
+    def diff(self, sigma) -> dict:
+        nxt = self.next(sigma)
+        return self._blocks(self.offsets(sigma)[0], self.offsets(nxt)[0],
+                            (-1, 1), lambda p, pt: self.sl.matrix(
+                                (p, sigma[0]), (pt, nxt[0])))
+
+    def cross(self, mat: dict, other: "FoldedSlices", sigma) -> dict:
+        return self._blocks(self.offsets(sigma)[0], other.offsets(sigma)[0],
+                            (0,), lambda p, _pt: self.sl.cross(
+                                mat, other.sl, (p, sigma[0])))
 
 
-def slice_subquotient(sl: ColumnSlices, h: int, j: int, dh: int, dj: int):
-    """Homology basis at one slice: kernel of the outgoing differential
-    (to slice (h+dh, j+dj)) modulo the image of the incoming one."""
-    b = sl.basis(h, j)
-    if b is None or b.dim == 0:
-        return None
-    down = sl.matrix(h, j, h + dh, j + dj)
-    if down:
-        tdim = sl.basis(h + dh, j + dj).dim
-        cycles = Echelon(rows_from_entries(down, tdim), b.dim).kernel_basis()
+# ---------------------------------------------------------------------------
+# the two stages
+
+
+def kernel_mod_image(dim: int, out: dict, out_dim: int,
+                     inc: dict) -> SubquotientBasis:
+    """Kernel of the outgoing entries (rows in out_dim coordinates)
+    modulo the span of the columns of the incoming entries, on a space
+    of dimension dim."""
+    if out:
+        cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
     else:
-        cycles = [[Fraction(1) if t == s else Fraction(0)
-                   for t in range(b.dim)] for s in range(b.dim)]
-    up = sl.matrix(h - dh, j - dj, h, j)
+        cycles = [[Fraction(int(t == s)) for t in range(dim)]
+                  for s in range(dim)]
     cols: dict = {}
-    for (r, c), v in up.items():
-        cols.setdefault(c, [Fraction(0)] * b.dim)[r] = v
-    return SubquotientBasis(b.dim, cycles, list(cols.values()))
+    for (r, c), v in inc.items():
+        cols.setdefault(c, [Fraction(0)] * dim)[r] = v
+    return SubquotientBasis(dim, cycles, list(cols.values()))
 
 
-def induced_matrix(kmap: dict, src_sl: ColumnSlices, tgt_sl: ColumnSlices,
-                   sq_src: SubquotientBasis, sq_tgt: SubquotientBasis,
-                   h: int, j: int) -> dict:
-    """Map induced on slice homology by a degree-0 column map: push each
-    representative forward and express it in the target subquotient."""
-    cm = cross_matrix(kmap, src_sl, tgt_sl, h, j, j)
+def slice_subquotient(sl, sigma):
+    """Homology basis at one slice: kernel of the outgoing differential
+    modulo the image of the incoming one; None when the slice is empty."""
+    dim = sl.dim(sigma)
+    if not dim:
+        return None
+    return kernel_mod_image(dim, sl.diff(sigma), sl.dim(sl.next(sigma)),
+                            sl.diff(sl.prev(sigma)))
+
+
+def slice_homology(sl, degrees) -> dict:
+    """{sigma: dim} of the nonzero slice homology at the given degrees."""
     out: dict = {}
-    tdim = tgt_sl.basis(h, j).dim
+    for deg in degrees:
+        for sigma in sorted(sl.sigmas(deg)):
+            sq = slice_subquotient(sl, sigma)
+            if sq is not None and sq.dim:
+                out[sigma] = sq.dim
+    return out
+
+
+def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
+                   sq_tgt: SubquotientBasis) -> dict:
+    """Map induced on slice homology by a slice matrix (rows in tdim
+    coordinates): push each representative forward and express it in
+    the target subquotient."""
+    out: dict = {}
     for c, rep in enumerate(sq_src.reps):
-        img = mat_vec(cm, rep, tdim)
+        img = mat_vec(entries, rep, tdim)
         try:
             coords = sq_tgt.express(img)
         except ValueError as e:
@@ -336,73 +474,127 @@ def tower_homology(dims: dict, mats: dict) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# pipelines
+class ColumnData:
+    """Columns of a word complex, its differentials extended to them,
+    one slicer per column, and the two stages per slice.
 
-
-def word_columns(word: Word, simplify: bool = True):
-    """Contraction columns and extended word differentials of a braid word.
-
-    Returns (degrees, {k: DiffObject}, {k: poly matrix}).  With simplify,
-    each column is reduced by cancelling constant pivots (a strict chain
-    homotopy equivalence of the column, so every (p, j) slice keeps its
-    homology) and the word maps are conjugated onto the reduced models.
+    N = None builds contraction columns sliced by (p, j); a positive N
+    builds folded columns (mfact.folded_column) sliced by (q, parity).
+    With simplify, each column is reduced by cancelling constant pivots
+    (a strict chain homotopy equivalence of the column, so every slice
+    keeps its homology) and the word maps are conjugated onto the
+    reduced models.
 
     Left-module Gaussian elimination of the bimodule complex itself is
-    deliberately NOT applied here: its pivots need not respect bimodule
+    deliberately NOT applied: its pivots need not respect bimodule
     summands, and cancelling them moves homology classes along the
     (k - 1, p - 1) diagonal, which changes the bigraded table even
     though it preserves the collapsed k - p grading.
+
+    stage() and induced() recompute on every call; a caller that revisits
+    slices keeps their results itself.
     """
-    C = rouquier_complex(word)
-    degrees = C.degrees
-    cols = {k: koszul_column(C.objs[k]) for k in degrees}
-    kmaps = {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
-             for k in degrees if k + 1 in C.objs and C.diff_mat(k)}
-    if simplify:
-        F, G = {}, {}
-        for k in degrees:
-            cols[k], F[k], G[k] = cols[k].eliminate()
-        kmaps = {k: conjugate(F[k + 1], m, G[k]) for k, m in kmaps.items()}
-    for k in degrees:
-        cols[k].check(dh=-1, dq=0)
-    return degrees, cols, kmaps
+
+    __slots__ = ("C", "degrees", "cols", "kmaps", "slicers")
+
+    def __init__(self, C: BComplex, N, simplify: bool):
+        self.C = C
+        self.degrees = list(C.degrees)
+        if N is None:
+            build = koszul_column
+        else:
+            from .mfact import folded_column  # mfact imports this module
+
+            def build(M):
+                return folded_column(M, N)
+        cols = {k: build(C.objs[k]) for k in self.degrees}
+        kmaps = {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
+                 for k in self.degrees if k + 1 in C.objs and C.diff_mat(k)}
+        if simplify:
+            F, G = {}, {}
+            for k in self.degrees:
+                cols[k], F[k], G[k] = cols[k].eliminate()
+            kmaps = {k: conjugate(F[k + 1], m, G[k]) for k, m in kmaps.items()}
+        for col in cols.values():
+            if N is None:
+                col.check(dh=-1, dq=0)
+            else:
+                col.check(dh=None, dq=N + 1)
+        self.cols, self.kmaps = cols, kmaps
+        self.slicers = {k: ColumnSlices(col) if N is None
+                        else FoldedSlices(col, N) for k, col in cols.items()}
+
+    def sigmas(self, deg: int) -> list:
+        """Slice keys of all columns at one scanned degree, sorted."""
+        return sorted({s for sl in self.slicers.values()
+                       for s in sl.sigmas(deg)})
+
+    def next(self, sigma):
+        """Slice hit by the column differential, in every column."""
+        return self.slicers[self.degrees[0]].next(sigma)
+
+    def dim(self, k, sigma) -> int:
+        return self.slicers[k].dim(sigma) if k in self.slicers else 0
+
+    def stage(self, k, sigma):
+        """Stage one: slice homology of column k, None when empty."""
+        if k not in self.slicers:
+            return None
+        return slice_subquotient(self.slicers[k], sigma)
+
+    def induced(self, k, sigma, sq_src, sq_tgt) -> dict:
+        """Stage two: the map induced by the word differential from
+        (k, sigma) to (k + 1, sigma).  Classes are pushed whenever the
+        target slice is nonempty, so a class sent into a zero-dimensional
+        target subquotient is checked to land in its boundaries."""
+        if sq_tgt is None:
+            return {}
+        src, tgt = self.slicers[k], self.slicers[k + 1]
+        return induced_matrix(src.cross(self.kmaps[k], tgt, sigma),
+                              tgt.dim(sigma), sq_src, sq_tgt)
+
+    def tower(self, sigma):
+        """(stage-one subquotients of positive dimension, induced maps
+        between them, tower homology {k: dim}) at one slice."""
+        stages = {k: self.stage(k, sigma) for k in self.degrees}
+        sqs = {k: sq for k, sq in stages.items() if sq is not None and sq.dim}
+        mats = {k: self.induced(k, sigma, sq, stages.get(k + 1))
+                for k, sq in sqs.items() if k in self.kmaps}
+        dims = {k: sq.dim for k, sq in sqs.items()}
+        return sqs, mats, tower_homology(dims, mats)
 
 
-def _scan_range(cols: dict, window: DegreeWindow):
-    """(j_lo, j_hi, q_top) for the internal-degree scan of a column set."""
-    qs = [q for c in cols.values() for (_h, q) in c.gens]
+# ---------------------------------------------------------------------------
+# the degree scan
+
+
+def scan_bounds(cols, window: DegreeWindow):
+    """(lo, hi, q_top) of the degree scan over some columns: from the
+    lowest generator degree up to the window bound; q_top is the
+    highest generator degree."""
+    qs = [q for c in cols for (_h, q) in c.gens]
     if not qs:
         return 0, -1, 0
-    j_lo, q_top = min(qs), max(qs)
-    j_hi = max(window.max_degree, j_lo + window.max_degree)
-    return j_lo, j_hi, q_top
+    lo, q_top = min(qs), max(qs)
+    return lo, max(window.max_degree, lo + window.max_degree), q_top
 
 
-def _slice_dims(degrees, slicers, kmaps, j, dh, dj, raw, key_of):
-    """One internal degree of the two-stage pipeline; returns the total
-    homology dimension found and extends the raw table in place."""
-    bases = {}
-    hs = set()
-    for k in degrees:
-        for h in slicers[k].groups:
-            sq = slice_subquotient(slicers[k], h, j, dh, dj)
-            if sq is not None and sq.dim:
-                bases[(k, h)] = sq
-                hs.add(h)
-    total = 0
-    for h in sorted(hs):
-        dims = {k: bases[(k, h)].dim for k in degrees if (k, h) in bases}
-        mats = {}
-        for k in dims:
-            if (k + 1, h) in bases and k in kmaps:
-                mats[k] = induced_matrix(kmaps[k], slicers[k],
-                                         slicers[k + 1], bases[(k, h)],
-                                         bases[(k + 1, h)], h, j)
-        for k, d in tower_homology(dims, mats).items():
-            raw[key_of(k, h, j)] = d
-            total += d
-    return total
+def scan_degrees(lo: int, hi: int, q_top: int, needed: int, visit):
+    """Visit the degrees lo..hi in order; visit(deg) returns the total
+    homology found there.  The scan stabilizes once `needed` consecutive
+    degrees above q_top found nothing.  Returns (stabilized, last
+    degree visited)."""
+    zero_run, last = 0, lo - 1
+    for deg in range(lo, hi + 1):
+        total = visit(deg)
+        last = deg
+        if total == 0 and deg > q_top:
+            zero_run += 1
+            if zero_run >= needed:
+                return True, last
+        else:
+            zero_run = 0
+    return False, last
 
 
 def grading_shift(word_writhe: int, n: int):
@@ -420,22 +612,20 @@ def homfly_homology(word: Word, window: DegreeWindow = None,
     j_range, shift, warnings, raw (unnormalized {(k, p, j): dim}).
     """
     window = window or DegreeWindow()
-    degrees, cols, kmaps = word_columns(word, simplify)
-    slicers = {k: ColumnSlices(cols[k], split=True) for k in degrees}
+    data = ColumnData(rouquier_complex(word), None, simplify)
     raw: dict = {}
-    j_lo, j_hi, q_top = _scan_range(cols, window)
-    zero_run, stabilized, j_last = 0, False, j_lo - 1
-    for j in range(j_lo, j_hi + 1):
-        total = _slice_dims(degrees, slicers, kmaps, j, -1, 0, raw,
-                            lambda k, p, jj: (k, p, jj))
-        j_last = j
-        if total == 0 and j > q_top:
-            zero_run += 1
-            if zero_run >= window.margin:
-                stabilized = True
-                break
-        else:
-            zero_run = 0
+
+    def visit(j):
+        total = 0
+        for sigma in data.sigmas(j):
+            for k, d in data.tower(sigma)[2].items():
+                raw[(k, sigma[0], j)] = d
+                total += d
+        return total
+
+    j_lo, j_hi, q_top = scan_bounds(data.cols.values(), window)
+    stabilized, j_last = scan_degrees(j_lo, j_hi, q_top, window.margin,
+                                      visit)
     shift, lost_half = grading_shift(word.writhe, word.n)
     warnings = []
     if not word.is_knot_closure:
@@ -467,18 +657,8 @@ def hochschild_bimodule(M: Bimodule, window: DegreeWindow = None) -> dict:
     window = window or DegreeWindow()
     col = koszul_column(M)
     col.check(dh=-1, dq=0)
-    sl = ColumnSlices(col, split=True)
-    out: dict = {}
-    if not col.gens:
-        return out
-    j_lo = min(q for _h, q in col.gens)
-    j_hi = max(window.max_degree, j_lo + window.max_degree)
-    for j in range(j_lo, j_hi + 1):
-        for p in sorted(sl.groups):
-            sq = slice_subquotient(sl, p, j, -1, 0)
-            if sq is not None and sq.dim:
-                out[(p, j)] = sq.dim
-    return out
+    j_lo, j_hi, _q_top = scan_bounds([col], window)
+    return slice_homology(ColumnSlices(col), range(j_lo, j_hi + 1))
 
 
 def hochschild_closed_form(n: int, p: int, j: int) -> int:
@@ -493,11 +673,12 @@ def hochschild_closed_form(n: int, p: int, j: int) -> int:
 # resolution property of the two-sided contraction complex
 
 
-def two_sided_koszul(n: int) -> DiffObject:
-    """Free contraction complex on x_j - y_j over the two-sided ring."""
+def two_sided_koszul(n: int, top: int) -> DiffObject:
+    """Free contraction complex on x_j - y_j over the two-sided ring,
+    on the directions 1..top-1, labelled by J."""
     gens, labels, index = [], [], {}
-    for p in range(n):
-        for J in itertools.combinations(range(1, n), p):
+    for p in range(top):
+        for J in itertools.combinations(range(1, top), p):
             index[J] = len(gens)
             gens.append((p, 2 * p))
             labels.append(J)
@@ -514,13 +695,13 @@ def koszul_resolution_check(n: int, j_max: int = 12):
     """Assert the contraction complex resolves the one-sided ring:
     degree-j homology has dim S_j at exterior weight 0 and vanishes at
     positive weights, for all internal degrees up to j_max."""
-    col = two_sided_koszul(n)
+    col = two_sided_koszul(n, n)
     col.check(dh=-1, dq=0)
-    sl = ColumnSlices(col, split=True, two_sided=True)
+    dims = slice_homology(ColumnSlices(col, two_sided=True),
+                          range(0, j_max + 1, 2))
     for j in range(0, j_max + 1, 2):
-        for p in sorted(sl.groups):
-            sq = slice_subquotient(sl, p, j, -1, 0)
-            got = sq.dim if sq is not None else 0
+        for p in range(n):
+            got = dims.get((p, j), 0)
             want = GradedPiece(n, j).dim if p == 0 else 0
             assert got == want, \
                 f"resolution fails at n={n}, p={p}, j={j}: {got} != {want}"

@@ -184,8 +184,11 @@ class RowSpace:
         self.rows = []  # integer echelon rows, sorted by pivot column
         self.pivcols = []
 
-    def _reduce(self, vec):
-        """Reduce a Fraction vector against the stored rows (copy returned)."""
+    def reduce(self, vec):
+        """Reduce a Fraction vector against the stored rows (copy returned).
+
+        The result is the vector of vec + span that vanishes at every
+        pivot column, so it does not depend on the insertion order."""
         w = list(vec)
         for row, pc in zip(self.rows, self.pivcols):
             if w[pc]:
@@ -195,11 +198,16 @@ class RowSpace:
         return w
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not any(self.reduce(vec))
+
+    def leading(self, vec):
+        """First nonzero index of the reduced vec (None inside the span):
+        the largest leading index over the coset vec + span."""
+        return next((c for c, v in enumerate(self.reduce(vec)) if v), None)
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        w = self._reduce(vec)
+        w = self.reduce(vec)
         pc = next((c for c, v in enumerate(w) if v), None)
         if pc is None:
             return False

@@ -25,10 +25,13 @@ families homogeneous of one common degree (N + 1); c is recomputed and
 asserted rather than hard-coded.  Homology is computed per collapsed
 degree: kernel of D into q + N + 1 modulo the image from q - N - 1,
 with the word maps inducing the k-direction exactly as in the
-undeformed pipeline.  Both components of D flip the parity of the
-exterior weight, so each collapsed slice splits into an even-weight
-and an odd-weight subcomplex and the weight parity of every class is
-exact; the word maps preserve the weight outright.
+undeformed pipeline; it is that pipeline's slice engine
+(homology.ColumnData) run with the folded slicer, and this module adds
+only the folded columns and the weight bookkeeping below.  Both
+components of D flip the parity of the exterior weight, so each
+collapsed slice splits into an even-weight and an odd-weight subcomplex
+and the weight parity of every class is exact; the word maps preserve
+the weight outright.
 
 Within a parity the full weight of a class is recovered from the
 internal-degree filtration: neither component of D lowers internal
@@ -55,19 +58,15 @@ up to that freedom (flagged in the report).
 
 from __future__ import annotations
 
-import itertools
-
-from fractions import Fraction
-
 from .bimodule import Bimodule, mat_eq, mat_mul
 from .braid import Word
 from .complexes import rouquier_complex
-from .diffobj import DiffObject, conjugate
-from .homology import (ColumnSlices, DegreeWindow, TriGradedSpace, _compose,
-                       _scan_range, column_map, cross_matrix)
-from .linalg import (Echelon, SubquotientBasis, mat_vec, matrix_rank,
-                     rows_from_entries)
-from .poly import Poly, phi, power_sum_difference, psi_quotient
+from .diffobj import DiffObject
+from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
+                       exterior_column, kernel_mod_image, scan_bounds,
+                       scan_degrees, two_sided_koszul)
+from .linalg import RowSpace
+from .poly import Poly, power_sum_difference, psi_quotient
 
 
 def collapse_coefficient(N: int) -> int:
@@ -111,19 +110,11 @@ class MatrixFactorization:
         self.n, self.N, self.full = n, N, full
         top = n + 1 if full else n
         self.potential = power_sum_difference(n, N + 1)
-        self.labels = []
-        self.index = {}
-        for p in range(top):
-            for J in itertools.combinations(range(1, top), p):
-                self.index[J] = len(self.labels)
-                self.labels.append(J)
-        diff: dict = {}
+        removal = two_sided_koszul(n, top)
+        self.labels = removal.labels
+        self.index = {J: i for i, J in enumerate(self.labels)}
+        diff = dict(removal.diff)
         for J, c in self.index.items():
-            for t, jdir in enumerate(J):
-                jred = J[:t] + J[t + 1:]
-                q = phi(n, jdir)
-                if q:
-                    diff[(self.index[jred], c)] = q if t % 2 == 0 else -q
             for jdir in range(1, top):
                 if jdir in J:
                     continue
@@ -156,9 +147,7 @@ class MatrixFactorization:
 def z_factorization(n: int, N: int) -> MatrixFactorization:
     """The checked rank-2^(n-1) factorization of the skein potential in
     canonical coordinates (trivial at n=1, where the potential is 0)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    z = MatrixFactorization(n, N)
+    z = MatrixFactorization(n, check_N(N))
     z.check()
     return z
 
@@ -173,55 +162,16 @@ def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
     potential action.
     """
     n = M.n
-    c = collapse_coefficient(N)
     top = n + 1 if full else n
-    removers = {}
-    adders = {}
-    for j in range(1, top):
-        by_col: dict = {}
-        for (r, cc), p in M.action_difference(j).items():
-            by_col.setdefault(cc, []).append((r, p))
-        removers[j] = by_col
-        by_col = {}
-        for (r, cc), p in M.two_sided_action(
-                direction_quotient(n, j, N, full)).items():
-            by_col.setdefault(cc, []).append((r, p))
-        adders[j] = by_col
-    gens, labels, index = [], [], {}
-    for p in range(top):
-        for J in itertools.combinations(range(1, top), p):
-            for a in range(M.rank):
-                index[(a, J)] = len(gens)
-                gens.append((p, M.gens[a] + c * p))
-                labels.append((a, J))
-    diff: dict = {}
-
-    def accumulate(key, add):
-        cur = diff.get(key)
-        tot = add if cur is None else cur + add
-        if tot:
-            diff[key] = tot
-        elif cur is not None:
-            del diff[key]
-
-    for (a, J), col in index.items():
-        for t, jdir in enumerate(J):
-            jred = J[:t] + J[t + 1:]
-            for b, q in removers[jdir].get(a, ()):
-                accumulate((index[(b, jred)], col), q if t % 2 == 0 else -q)
-        for jdir in range(1, top):
-            if jdir in J:
-                continue
-            jext = tuple(sorted(J + (jdir,)))
-            sgn = sum(1 for l in J if l < jdir) % 2
-            for b, q in adders[jdir].get(a, ()):
-                accumulate((index[(b, jext)], col), -q if sgn else q)
-    out = DiffObject(n, gens, diff, labels)
+    adders = {j: M.two_sided_action(direction_quotient(n, j, N, full))
+              for j in range(1, top)}
+    out = exterior_column(M, top, collapse_coefficient(N), adders)
     sq = out.square()
     if sq:
         pot = M.two_sided_action(power_sum_difference(n, N + 1))
+        index = {lab: i for i, lab in enumerate(out.labels)}
         expected: dict = {}
-        for (a, J), col in index.items():
+        for col, (a, J) in enumerate(out.labels):
             for b in range(M.rank):
                 p = pot.get((b, a))
                 if p:
@@ -234,211 +184,33 @@ def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
     return out
 
 
-class _SpanReducer:
-    """Echelon form of a span of vectors, pivots at the lowest nonzero
-    index, for maximizing the leading index of coset representatives."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for i in range(len(vec)):
-            if vec[i] and i in self.pivots:
-                coef = vec[i]
-                for jj, v in self.pivots[i]:
-                    vec[jj] -= coef * v
-        return vec
-
-    def add(self, vec):
-        vec = self.reduce(vec)
-        for i, v in enumerate(vec):
-            if v:
-                inv = Fraction(1) / v
-                self.pivots[i] = [(jj, vv * inv)
-                                  for jj, vv in enumerate(vec) if vv]
-                return
+def _leads(sq) -> list:
+    """Leading index of each representative of a subquotient reduced
+    modulo its boundaries: the largest leading index in its coset."""
+    span = RowSpace(sq.ambient_dim)
+    for b in sq.boundary_basis:
+        span.add(b)
+    return [span.leading(rep) for rep in sq.reps]
 
 
-def _leading_index(vec) -> int:
-    return next(i for i, x in enumerate(vec) if x)
+def _class_weights(fs, sigma, k: int, sqs: dict, mats: dict, h: int) -> list:
+    """Filtration weights of the h tower classes at step k of one slice.
 
-
-class _FoldedSlices:
-    """Parity-split slices of one folded column: per collapsed degree q
-    and weight parity, the ambient space concatenates the weight-p
-    graded pieces (p of that parity, ascending) and the differential
-    maps it to the opposite parity at q + N + 1."""
-
-    __slots__ = ("sl", "N", "weights", "_amb")
-
-    def __init__(self, col: DiffObject, N: int):
-        self.sl = ColumnSlices(col, split=True)
-        self.N = N
-        self.weights = sorted(self.sl.groups)
-        self._amb: dict = {}
-
-    def ambient(self, q: int, parity: int):
-        """(blocks, offsets, dim): the weight-p pieces of parity at q."""
-        key = (q, parity)
-        if key not in self._amb:
-            blocks, offsets, dim = [], {}, 0
-            for p in self.weights:
-                if p % 2 != parity:
-                    continue
-                b = self.sl.basis(p, q)
-                if b is not None and b.dim:
-                    offsets[p] = dim
-                    blocks.append((p, b))
-                    dim += b.dim
-            self._amb[key] = (blocks, offsets, dim)
-        return self._amb[key]
-
-    def diff_entries(self, q: int, parity: int):
-        """Entries of D from (q, parity) into (q + N + 1, 1 - parity) in
-        concatenated coordinates; returns (entries, target dim)."""
-        src_blocks, _, _ = self.ambient(q, parity)
-        _, tgt_off, tgt_dim = self.ambient(q + self.N + 1, 1 - parity)
-        entries: dict = {}
-        pos = 0
-        for p, b in src_blocks:
-            for pt in (p - 1, p + 1):
-                if pt not in tgt_off:
-                    continue
-                for (r, cc), v in self.sl.matrix(p, q, pt,
-                                                 q + self.N + 1).items():
-                    entries[(tgt_off[pt] + r, pos + cc)] = v
-            pos += b.dim
-        return entries, tgt_dim
-
-
-def _stage_one(fs: _FoldedSlices, q: int, parity: int):
-    """Homology basis of one parity slice with per-class weights.
-
-    Returns (SubquotientBasis, weights) or None when empty; weights[i]
-    is the filtration weight of class i.
+    A stage-one class has the weight of the block holding the leading
+    index of its reduced representative.  The tower subquotient is then
+    redone with the stage-one classes sorted by weight, and each survivor
+    takes the weight of the stage-one class at its own leading index.
     """
-    blocks, offsets, dim = fs.ambient(q, parity)
-    if dim == 0:
-        return None
-    down, tdim = fs.diff_entries(q, parity)
-    if down and tdim:
-        cycles = Echelon(rows_from_entries(down, tdim), dim).kernel_basis()
-    else:
-        cycles = [[Fraction(int(i == t)) for i in range(dim)]
-                  for t in range(dim)]
-    up, _ = fs.diff_entries(q - fs.N - 1, 1 - parity)
-    bnd_cols: dict = {}
-    for (r, cc), v in up.items():
-        bnd_cols.setdefault(cc, [Fraction(0)] * dim)[r] = v
-    boundaries = [v for v in bnd_cols.values() if any(v)]
-    sq = SubquotientBasis(dim, cycles, boundaries)
-    if not sq.reps:
-        return None
-    red = _SpanReducer()
-    for b in boundaries:
-        red.add(b)
-    ps = sorted(offsets)
-    weights = []
-    for rep in sq.reps:
-        lead = _leading_index(red.reduce(rep))
-        weights.append(max(p for p in ps if offsets[p] <= lead))
-    return sq, weights
-
-
-def _induced(fs_src: _FoldedSlices, fs_tgt: _FoldedSlices, kmap: dict,
-             q: int, parity: int, st_src, st_tgt) -> dict:
-    """Matrix of the induced word map on stage-one classes.  Word maps
-    preserve the weight and the collapsed degree, so the ambient matrix
-    is block diagonal over weights."""
-    sq_src = st_src[0]
-    sq_tgt = st_tgt[0]
-    src_blocks, src_off, _ = fs_src.ambient(q, parity)
-    _, tgt_off, tgt_dim = fs_tgt.ambient(q, parity)
-    entries: dict = {}
-    for p, _b in src_blocks:
-        if p not in tgt_off:
-            continue
-        for (r, cc), v in cross_matrix(kmap, fs_src.sl, fs_tgt.sl,
-                                       p, q, q).items():
-            entries[(tgt_off[p] + r, src_off[p] + cc)] = v
-    out: dict = {}
-    for ci, rep in enumerate(sq_src.reps):
-        img = mat_vec(entries, rep, tgt_dim)
-        try:
-            coords = sq_tgt.express(img)
-        except ValueError as e:
-            raise AssertionError(
-                "pushed representative left the target subquotient") from e
-        for r, v in enumerate(coords):
-            if v:
-                out[(r, ci)] = v
-    return out
-
-
-def _weight_slice_dims(degrees, fss, kmaps, q: int, raw: dict) -> int:
-    """Homology of one collapsed degree, split by weight parity, with
-    per-class filtration weights; accumulates {(k, q, weight): dim}
-    into raw and returns the total dimension found."""
-    total = 0
-    for parity in (0, 1):
-        stages = {}
-        for k in degrees:
-            st = _stage_one(fss[k], q, parity)
-            if st is not None:
-                stages[k] = st
-        if not stages:
-            continue
-        dims = {k: len(st[0].reps) for k, st in stages.items()}
-        mats = {}
-        for k in sorted(stages):
-            if k + 1 in stages and k in kmaps:
-                mats[k] = _induced(fss[k], fss[k + 1], kmaps[k], q, parity,
-                                   stages[k], stages[k + 1])
-        for k in mats:
-            if k + 1 in mats:
-                assert not _compose(mats[k + 1], mats[k]), \
-                    f"induced maps do not square to zero at {k}"
-        ranks = {k: matrix_rank(m, dims.get(k + 1, 0), dims[k])
-                 for k, m in mats.items()}
-        for k, d in dims.items():
-            h = d - ranks.get(k, 0) - ranks.get(k - 1, 0)
-            assert h >= 0
-            if h == 0:
-                continue
-            # weights of the survivors: redo the subquotient with the
-            # stage-one classes sorted by weight, then read the weight
-            # of each reduced representative's leading class.
-            weights = stages[k][1]
-            order = sorted(range(d), key=lambda i: (weights[i], i))
-            inv = {old: new for new, old in enumerate(order)}
-            out_m = {(r, inv[c]): v for (r, c), v in mats.get(k, {}).items()}
-            in_m = {(inv[r], c): v
-                    for (r, c), v in mats.get(k - 1, {}).items()}
-            if out_m:
-                cyc = Echelon(rows_from_entries(out_m, dims.get(k + 1, 0)),
-                              d).kernel_basis()
-            else:
-                cyc = [[Fraction(int(i == t)) for i in range(d)]
-                       for t in range(d)]
-            bcols: dict = {}
-            for (r, cc), v in in_m.items():
-                bcols.setdefault(cc, [Fraction(0)] * d)[r] = v
-            bnd = [v for v in bcols.values() if any(v)]
-            sq2 = SubquotientBasis(d, cyc, bnd)
-            assert len(sq2.reps) == h
-            red = _SpanReducer()
-            for b in bnd:
-                red.add(b)
-            for rep in sq2.reps:
-                lead = _leading_index(red.reduce(rep))
-                w = weights[order[lead]]
-                key = (k, q, w)
-                raw[key] = raw.get(key, 0) + 1
-                total += 1
-    return total
+    sq = sqs[k]
+    weights = [fs.weight(sigma, i) for i in _leads(sq)]
+    order = sorted(range(sq.dim), key=lambda i: (weights[i], i))
+    inv = {old: new for new, old in enumerate(order)}
+    out = {(r, inv[c]): v for (r, c), v in mats.get(k, {}).items()}
+    inc = {(inv[r], c): v for (r, c), v in mats.get(k - 1, {}).items()}
+    out_dim = sqs[k + 1].dim if k + 1 in sqs else 0
+    sq2 = kernel_mod_image(sq.dim, out, out_dim, inc)
+    assert sq2.dim == h
+    return [weights[order[i]] for i in _leads(sq2)]
 
 
 def sln_homology(word: Word, N: int, window: DegreeWindow = None,
@@ -448,41 +220,30 @@ def sln_homology(word: Word, N: int, window: DegreeWindow = None,
     Returns (TriGradedSpace, report); rows are (k + p + shift,
     q - (N+1)p + shift', 0) for a weight-p class of collapsed degree q.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = check_N(N)
     window = window or DegreeWindow()
-    C = rouquier_complex(word)
-    degrees = C.degrees
-    cols = {k: folded_column(C.objs[k], N) for k in degrees}
-    kmaps = {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
-             for k in degrees if k + 1 in C.objs and C.diff_mat(k)}
-    if simplify:
-        F, G = {}, {}
-        for k in degrees:
-            cols[k], F[k], G[k] = cols[k].eliminate()
-        kmaps = {k: conjugate(F[k + 1], m, G[k]) for k, m in kmaps.items()}
-    for k in degrees:
-        cols[k].check(dh=None, dq=N + 1)
-    fss = {k: _FoldedSlices(cols[k], N) for k in degrees}
+    data = ColumnData(rouquier_complex(word), N, simplify)
     raw: dict = {}
-    q_lo, q_hi, q_top = _scan_range(cols, window)
+
+    def visit(q):
+        total = 0
+        for sigma in data.sigmas(q):
+            sqs, mats, hom = data.tower(sigma)
+            for k, h in hom.items():
+                for w in _class_weights(data.slicers[k], sigma, k, sqs, mats,
+                                        h):
+                    raw[(k, q, w)] = raw.get((k, q, w), 0) + 1
+                total += h
+        return total
+
+    q_lo, q_hi, q_top = scan_bounds(data.cols.values(), window)
     # the differential steps the collapsed degree by N+1, so the slices
     # interact only within a residue class mod N+1; a zero run is
     # evidence of stabilization only once every residue has seen
     # window.margin consecutive empty slices.
-    needed_run = window.margin * (N + 1)
-    q_hi = max(q_hi, q_top + needed_run)
-    zero_run, stabilized, q_last = 0, False, q_lo - 1
-    for q in range(q_lo, q_hi + 1):
-        total = _weight_slice_dims(degrees, fss, kmaps, q, raw)
-        q_last = q
-        if total == 0 and q > q_top:
-            zero_run += 1
-            if zero_run >= needed_run:
-                stabilized = True
-                break
-        else:
-            zero_run = 0
+    needed = window.margin * (N + 1)
+    stabilized, q_last = scan_degrees(q_lo, max(q_hi, q_top + needed), q_top,
+                                      needed, visit)
     kshift = word.writhe - word.n + 1
     qshift = (N + 1) * (word.n - 1 - word.writhe)
     warnings = []

@@ -169,12 +169,6 @@ class Poly:
         pad = (0,) * (self.n - 1)
         return Poly(self.n, {m + pad: c for m, c in self.terms.items()}, True)
 
-    def right_lift(self) -> "Poly":
-        """Send a one-sided poly p(x) to p(y) in the two-sided ring."""
-        assert not self.two_sided
-        pad = (0,) * (self.n - 1)
-        return Poly(self.n, {pad + m: c for m, c in self.terms.items()}, True)
-
     def split_xy(self):
         """Write a two-sided poly as [(y-monomial, x-part Poly)] pairs.
 

@@ -49,46 +49,31 @@ folding raises ValueError.
 
 Raw (unsimplified) columns are mandatory throughout: the snake lifts
 need termwise exactness of the literal sequence, which elimination
-would destroy.
+would destroy.  Vertices and edges use the slice engine of homology
+(ColumnData); unlike the HOMFLY and sl(N) pipelines, which drop each
+degree's stages, the cube keeps every stage-one subquotient and
+induced map, because its edges and its total complex revisit them
+after the scan.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .bimodule import mat_mul
 from .braid import NEG, POS, SING, Word
 from .complexes import (BComplex, ChainMap, crossing_change_ses,
                         letter_complex, tensor, tensor_chain_maps)
-from .homology import (ColumnSlices, DegreeWindow, TriGradedSpace, _compose,
-                       _scan_range, column_map, cross_matrix, grading_shift,
-                       induced_matrix, koszul_column, slice_subquotient,
+from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
+                       column_map, grading_shift, scan_bounds, scan_degrees,
                        tower_homology)
-from .linalg import Echelon, SubquotientBasis, mat_vec, matrix_rank, \
-    rows_from_entries
-from .mfact import _FoldedSlices, folded_column
+from .linalg import Echelon, mat_vec, matrix_rank, rows_from_entries
+from .poly import monomial_count
 
 
 # ---------------------------------------------------------------------------
 # the crossing-change exact sequence, checked and normalized
-
-
-def _graded_dim(gens, j: int, nvars: int) -> int:
-    """Dimension at internal degree j of a free module with generators
-    in the listed degrees over nvars polynomial variables of degree 2."""
-    total = 0
-    for g in gens:
-        d = j - g
-        if d < 0 or d % 2:
-            continue
-        m = d // 2
-        if nvars == 0:
-            total += 1 if m == 0 else 0
-        else:
-            total += math.comb(m + nvars - 1, nvars - 1)
-    return total
 
 
 class ExtensionRealization:
@@ -128,12 +113,13 @@ def extension_realization(n: int, i: int, scale=1,
         comp = mat_mul(pi.comp_mat(k), iota.comp_mat(k))
         assert not any(p for p in comp.values()), \
             "projection after inclusion is nonzero"
-    nvars = n - 1
     for k in degrees:
+        gens = [C.objs[k].gens if k in C.objs else () for C in (X, Y1, E)]
         for j in range(-4, j_max + 1):
-            dx = _graded_dim(X.objs[k].gens, j, nvars) if k in X.objs else 0
-            dy = _graded_dim(Y1.objs[k].gens, j, nvars) if k in Y1.objs else 0
-            de = _graded_dim(E.objs[k].gens, j, nvars) if k in E.objs else 0
+            # graded dimension of a free module over n - 1 variables
+            dx, dy, de = (sum(monomial_count(n - 1, (j - g) // 2)
+                              for g in gs if (j - g) % 2 == 0)
+                          for gs in gens)
             assert de == dx + dy, \
                 f"extension ranks are not exact at step {k}, degree {j}"
     top = iota.comp_mat(-1).get((2, 0))
@@ -152,192 +138,46 @@ def extension_realization(n: int, i: int, scale=1,
 # column data of one resolved word
 
 
-def _check_N(N):
-    if N is None:
-        return None
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be a positive integer or None")
-    return N
+class _CubeColumns(ColumnData):
+    """Raw columns of one word-level complex that keep every stage: the
+    edges and the assembly revisit the stage-one subquotients and the
+    induced maps of every slice after the scan."""
 
-
-def _sigma_next(sigma, N):
-    """Slice hit by the column differential (and hence by W)."""
-    if N is None:
-        p, j = sigma
-        return (p - 1, j)
-    q, parity = sigma
-    return (q + N + 1, 1 - parity)
-
-
-def _folded_stage(fs: _FoldedSlices, q: int, parity: int):
-    """Homology subquotient of one folded parity slice; keeps
-    zero-dimensional subquotients so snake targets stay expressible."""
-    _blocks, _offsets, dim = fs.ambient(q, parity)
-    if dim == 0:
-        return None
-    down, tdim = fs.diff_entries(q, parity)
-    if down and tdim:
-        cycles = Echelon(rows_from_entries(down, tdim), dim).kernel_basis()
-    else:
-        cycles = [[Fraction(int(s == t)) for t in range(dim)]
-                  for s in range(dim)]
-    up, _ = fs.diff_entries(q - fs.N - 1, 1 - parity)
-    cols: dict = {}
-    for (r, c), v in up.items():
-        cols.setdefault(c, [Fraction(0)] * dim)[r] = v
-    return SubquotientBasis(dim, cycles, list(cols.values()))
-
-
-class _ColumnsData:
-    """Raw columns of one word-level complex with slicers and caches.
-
-    Slices are keyed (p, j) of the contraction column when N is None and
-    (q, parity) of the folded column for finite N.  Stage caches hold
-    the slice homology subquotients and the maps induced on them by the
-    word differential.
-    """
-
-    __slots__ = ("C", "N", "degrees", "cols", "kmaps", "slicers",
-                 "_stage", "_ikm")
+    __slots__ = ("_stage", "_ikm")
 
     def __init__(self, C: BComplex, N):
-        self.C, self.N = C, N
-        self.degrees = list(C.degrees)
-        if N is None:
-            self.cols = {k: koszul_column(C.objs[k]) for k in self.degrees}
-            for col in self.cols.values():
-                col.check(dh=-1, dq=0)
-            self.slicers = {k: ColumnSlices(self.cols[k], split=True)
-                            for k in self.degrees}
-        else:
-            self.cols = {k: folded_column(C.objs[k], N) for k in self.degrees}
-            for col in self.cols.values():
-                col.check(dh=None, dq=N + 1)
-            self.slicers = {k: _FoldedSlices(self.cols[k], N)
-                            for k in self.degrees}
-        self.kmaps = {k: column_map(C.diff_mat(k), self.cols[k],
-                                    self.cols[k + 1])
-                      for k in self.degrees
-                      if k + 1 in C.objs and C.diff_mat(k)}
+        super().__init__(C, N, simplify=False)
         self._stage = {}
         self._ikm = {}
 
-    def sigmas_at(self, deg: int):
-        """Slice keys of this complex at one scanned internal degree."""
-        if self.N is None:
-            out = set()
-            for k in self.degrees:
-                for p in self.slicers[k].groups:
-                    out.add((p, deg))
-            return out
-        return {(deg, 0), (deg, 1)}
-
-    def amb_dim(self, k, sigma) -> int:
-        if k not in self.slicers:
-            return 0
-        if self.N is None:
-            b = self.slicers[k].basis(*sigma)
-            return b.dim if b is not None else 0
-        return self.slicers[k].ambient(*sigma)[2]
-
     def stage(self, k, sigma):
-        """Slice homology subquotient, or None when the slice is empty."""
         key = (k, sigma)
         if key not in self._stage:
-            if k not in self.slicers:
-                self._stage[key] = None
-            elif self.N is None:
-                p, j = sigma
-                self._stage[key] = slice_subquotient(self.slicers[k],
-                                                     p, j, -1, 0)
-            else:
-                self._stage[key] = _folded_stage(self.slicers[k], *sigma)
+            self._stage[key] = super().stage(k, sigma)
         return self._stage[key]
 
     def stage_dim(self, k, sigma) -> int:
         sq = self.stage(k, sigma)
         return sq.dim if sq is not None else 0
 
-    def col_diff(self, k, sigma):
-        """(entries, target dim) of the column differential at a slice."""
-        if self.N is None:
-            p, j = sigma
-            sl = self.slicers[k]
-            ent = sl.matrix(p, j, p - 1, j)
-            b = sl.basis(p - 1, j)
-            return ent, (b.dim if b is not None else 0)
-        return self.slicers[k].diff_entries(*sigma)
-
-    def induced_kmap(self, k, sigma):
-        """Matrix induced on slice homology by the word differential."""
+    def induced(self, k, sigma, sq_src, sq_tgt) -> dict:
         key = (k, sigma)
-        if key in self._ikm:
-            return self._ikm[key]
-        out: dict = {}
-        sq_s = self.stage(k, sigma)
-        sq_t = self.stage(k + 1, sigma)
-        if sq_s is not None and sq_s.dim and k in self.kmaps:
-            if sq_t is None:
-                assert self.amb_dim(k + 1, sigma) == 0
-            elif self.N is None:
-                p, j = sigma
-                out = induced_matrix(self.kmaps[k], self.slicers[k],
-                                     self.slicers[k + 1], sq_s, sq_t, p, j)
-            else:
-                ent, tdim = _cross(self.kmaps[k], self, self, k, sigma,
-                                   tgt_k=k + 1)
-                out = _push_express(ent, tdim, sq_s, sq_t)
-        self._ikm[key] = out
-        return out
+        if key not in self._ikm:
+            self._ikm[key] = super().induced(k, sigma, sq_src, sq_tgt)
+        return self._ikm[key]
 
-    def stage2_at(self, sigma) -> dict:
-        """Tower homology over the word direction at one slice."""
-        dims = {k: self.stage_dim(k, sigma) for k in self.degrees}
-        dims = {k: d for k, d in dims.items() if d}
-        mats = {k: self.induced_kmap(k, sigma) for k in dims
-                if k in self.kmaps}
-        return tower_homology(dims, mats)
+    def induced_kmap(self, k, sigma) -> dict:
+        """Matrix induced on slice homology by the word differential."""
+        sq = self.stage(k, sigma)
+        if sq is None or sq.dim == 0 or k not in self.kmaps:
+            return {}
+        return self.induced(k, sigma, sq, self.stage(k + 1, sigma))
 
-
-def _push_express(entries: dict, tdim: int, sq_src, sq_tgt) -> dict:
-    """Push subquotient representatives through an ambient matrix and
-    express the images in the target subquotient."""
-    out: dict = {}
-    for c, rep in enumerate(sq_src.reps):
-        img = mat_vec(entries, rep, tdim)
-        try:
-            coords = sq_tgt.express(img)
-        except ValueError as e:
-            raise AssertionError(
-                "pushed representative left the target subquotient") from e
-        for r, v in enumerate(coords):
-            if v:
-                out[(r, c)] = v
-    return out
-
-
-def _cross(cmap: dict, data_src: _ColumnsData, data_tgt: _ColumnsData,
-           k, sigma, tgt_k=None):
-    """Ambient slice matrix of a degree-0 column-level map; returns
-    (entries, target ambient dim).  Weight-preserving in folded mode."""
-    kt = k if tgt_k is None else tgt_k
-    if data_src.N is None:
-        p, j = sigma
-        ent = cross_matrix(cmap, data_src.slicers[k], data_tgt.slicers[kt],
-                           p, j, j)
-        return ent, data_tgt.amb_dim(kt, sigma)
-    fs_s, fs_t = data_src.slicers[k], data_tgt.slicers[kt]
-    q, parity = sigma
-    src_blocks, src_off, _sdim = fs_s.ambient(q, parity)
-    _tb, tgt_off, tdim = fs_t.ambient(q, parity)
-    entries: dict = {}
-    for p, _b in src_blocks:
-        if p not in tgt_off:
-            continue
-        for (r, c), v in cross_matrix(cmap, fs_s.sl, fs_t.sl, p, q, q).items():
-            entries[(tgt_off[p] + r, src_off[p] + c)] = v
-    return entries, tdim
+    def populated(self) -> list:
+        """Sorted (k, sigma) of the slices computed so far that carry
+        slice homology."""
+        return sorted(key for key, sq in self._stage.items()
+                      if sq is not None and sq.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +213,40 @@ class _Edge:
             self._w[key] = _edge_snake(self, k, sigma)
         return self._w[key]
 
+    def rank(self) -> int:
+        """Total rank of the connecting maps computed so far."""
+        return sum(matrix_rank(wm, self.tgt.stage_dim(k, self.src.next(sigma)),
+                               self.src.stage_dim(k, sigma))
+                   for (k, sigma), wm in self._w.items() if wm)
+
+    def pi_slice(self, k, sigma) -> dict:
+        """Slice block of the projection, middle column to source."""
+        return self.mid.slicers[k].cross(self.pi_cols.get(k, {}),
+                                         self.src.slicers[k], sigma)
+
+    def iota_slice(self, k, sigma) -> dict:
+        """Slice block of the inclusion, target column to middle."""
+        return self.tgt.slicers[k].cross(self.iota_cols.get(k, {}),
+                                         self.mid.slicers[k], sigma)
+
 
 def _slice_exactness(edge: _Edge, k, sigma):
     """Assert the tensored sequence stays exact on one column slice."""
     key = (k, sigma)
     if key in edge._exact_ok:
         return
-    dx = edge.tgt.amb_dim(k, sigma)
-    dy = edge.src.amb_dim(k, sigma)
-    de = edge.mid.amb_dim(k, sigma)
+    dx = edge.tgt.dim(k, sigma)
+    dy = edge.src.dim(k, sigma)
+    de = edge.mid.dim(k, sigma)
     assert de == dx + dy, \
         f"slice ranks are not exact at step {k}, slice {sigma}"
-    pi_m, _ = _cross(edge.pi_cols.get(k, {}), edge.mid, edge.src, k, sigma)
-    io_m, _ = _cross(edge.iota_cols.get(k, {}), edge.tgt, edge.mid, k, sigma)
+    pi_m = edge.pi_slice(k, sigma)
+    io_m = edge.iota_slice(k, sigma)
     assert Echelon(rows_from_entries(pi_m, dy), de).rank == dy, \
         f"projection is not onto at step {k}, slice {sigma}"
     assert Echelon(rows_from_entries(io_m, de), dx).rank == dx, \
         f"inclusion is not injective at step {k}, slice {sigma}"
-    assert not _compose(pi_m, io_m), \
+    assert not mat_mul(pi_m, io_m), \
         f"projection after inclusion is nonzero at step {k}, slice {sigma}"
     edge._exact_ok.add(key)
 
@@ -403,18 +259,16 @@ def _edge_snake(edge: _Edge, k, sigma) -> dict:
     sq_y = src.stage(k, sigma)
     if sq_y is None or sq_y.dim == 0:
         return {}
-    sigma2 = _sigma_next(sigma, src.N)
+    sigma2 = src.next(sigma)
     _slice_exactness(edge, k, sigma)
     _slice_exactness(edge, k, sigma2)
-    de = mid.amb_dim(k, sigma)
-    dy = src.amb_dim(k, sigma)
-    pi_m, _ = _cross(edge.pi_cols.get(k, {}), mid, src, k, sigma)
-    solver_pi = Echelon(rows_from_entries(pi_m, dy), de)
-    dcol, de2 = mid.col_diff(k, sigma)
-    assert de2 == mid.amb_dim(k, sigma2)
-    io2, _ = _cross(edge.iota_cols.get(k, {}), tgt, mid, k, sigma2)
-    dx2 = tgt.amb_dim(k, sigma2)
-    solver_io = Echelon(rows_from_entries(io2, de2), dx2)
+    solver_pi = Echelon(rows_from_entries(edge.pi_slice(k, sigma),
+                                          src.dim(k, sigma)),
+                        mid.dim(k, sigma))
+    dcol = mid.slicers[k].diff(sigma)
+    de2 = mid.dim(k, sigma2)
+    solver_io = Echelon(rows_from_entries(edge.iota_slice(k, sigma2), de2),
+                        tgt.dim(k, sigma2))
     sq_x = tgt.stage(k, sigma2)
     out: dict = {}
     for c, rep in enumerate(sq_y.reps):
@@ -441,12 +295,10 @@ def _edge_chain_check(edge: _Edge):
     """Assert W commutes with the induced word-direction differentials
     on every populated slice.  A failure here is a sign or convention
     inconsistency and is never accepted."""
-    keys = [(k, sigma) for (k, sigma), sq in list(edge.src._stage.items())
-            if sq is not None and sq.dim]
-    for k, sigma in sorted(keys):
-        sigma2 = _sigma_next(sigma, edge.src.N)
-        lhs = _compose(edge.w(k + 1, sigma), edge.src.induced_kmap(k, sigma))
-        rhs = _compose(edge.tgt.induced_kmap(k, sigma2), edge.w(k, sigma))
+    for k, sigma in edge.src.populated():
+        sigma2 = edge.src.next(sigma)
+        lhs = mat_mul(edge.w(k + 1, sigma), edge.src.induced_kmap(k, sigma))
+        rhs = mat_mul(edge.tgt.induced_kmap(k, sigma2), edge.w(k, sigma))
         assert lhs == rhs, \
             ("wall-crossing map does not commute with the induced "
              f"differentials at step {k}, slice {sigma}")
@@ -465,38 +317,33 @@ class _Cube:
         self.warnings = []
 
 
-def _vertex_complex(word: Word, letters: dict, realizations: dict,
-                    slot_of: dict, eps) -> BComplex:
-    out = BComplex.identity(word.n)
-    for m, (i, kind) in enumerate(word.entries):
+def _vertex_letters(word: Word, letters: dict, realizations: dict,
+                    slot_of: dict, eps) -> list:
+    """Letter complexes of one resolution: singular slot t is realized
+    by X when eps[t] is positive and by Y[1] when it is negative."""
+    out = []
+    for m, (_i, kind) in enumerate(word.entries):
         if kind == SING:
             r = realizations[slot_of[m]]
-            C = r.X if eps[slot_of[m]] == POS else r.Y1
+            out.append(r.X if eps[slot_of[m]] == POS else r.Y1)
         else:
-            C = letters[m]
-        out = tensor(out, C)
+            out.append(letters[m])
     return out
 
 
 def _make_edge(word: Word, letters: dict, realizations: dict, slot_of: dict,
                eps, t: int, vertices: dict, N) -> _Edge:
-    n = word.n
     io_f, pi_f = [], []
-    for m, (i, kind) in enumerate(word.entries):
-        if kind == SING and slot_of[m] == t:
+    for m, C in enumerate(_vertex_letters(word, letters, realizations,
+                                          slot_of, eps)):
+        if slot_of.get(m) == t:
             io_f.append(realizations[t].iota)
             pi_f.append(realizations[t].pi)
-            continue
-        if kind == SING:
-            u = slot_of[m]
-            C = realizations[u].X if eps[u] == POS else realizations[u].Y1
         else:
-            C = letters[m]
-        ident = ChainMap.identity(C)
-        io_f.append(ident)
-        pi_f.append(ident)
-    iota_w = _fold_chain_maps(n, io_f)
-    pi_w = _fold_chain_maps(n, pi_f)
+            io_f.append(ChainMap.identity(C))
+            pi_f.append(io_f[-1])
+    iota_w = _fold_chain_maps(word.n, io_f)
+    pi_w = _fold_chain_maps(word.n, pi_f)
     tgt_key = eps[:t] + (POS,) + eps[t + 1:]
     src, tgt = vertices[eps], vertices[tgt_key]
     for k in iota_w.src.degrees:
@@ -506,7 +353,7 @@ def _make_edge(word: Word, letters: dict, realizations: dict, slot_of: dict,
     iota_w.check()
     pi_w.check()
     try:
-        mid = _ColumnsData(iota_w.tgt, N)
+        mid = _CubeColumns(iota_w.tgt, N)
     except ValueError as e:
         raise ValueError(
             "the folded wall-crossing columns do not exist here "
@@ -542,9 +389,11 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
     cube.vertices = {}
     cube.resolutions = {}
     for eps in itertools.product((POS, NEG), repeat=len(slots)):
-        C = _vertex_complex(word, letters, cube.realizations,
-                            cube.slot_of, eps)
-        cube.vertices[eps] = _ColumnsData(C, N)
+        C = BComplex.identity(word.n)
+        for L in _vertex_letters(word, letters, cube.realizations,
+                                 cube.slot_of, eps):
+            C = tensor(C, L)
+        cube.vertices[eps] = _CubeColumns(C, N)
         res = word.resolve(eps)
         cube.resolutions[eps] = res
         if not res.is_knot_closure:
@@ -558,36 +407,26 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
                     word, letters, cube.realizations, cube.slot_of,
                     eps, t, cube.vertices, N)
 
-    all_cols = {}
-    for data in list(cube.vertices.values()) + \
-            [e.mid for e in cube.edges.values()]:
-        for col in data.cols.values():
-            all_cols[len(all_cols)] = col
-    lo, hi, q_top = _scan_range(all_cols, window)
+    all_cols = [col for data in [*cube.vertices.values(),
+                                 *(e.mid for e in cube.edges.values())]
+                for col in data.cols.values()]
+    lo, hi, q_top = scan_bounds(all_cols, window)
     step = 1 if N is None else N + 1
     needed = (window.margin + len(slots)) * step
-    hi = max(hi, q_top + needed)
     cube.st2 = {}
-    zero_run = 0
-    cube.stabilized = False
-    cube.scan_lo = lo
-    last = lo - 1
-    for deg in range(lo, hi + 1):
+
+    def visit(deg):
         total = 0
         for vkey, data in cube.vertices.items():
-            for sigma in sorted(data.sigmas_at(deg)):
-                st2 = data.stage2_at(sigma)
+            for sigma in data.sigmas(deg):
+                st2 = data.tower(sigma)[2]
                 cube.st2[(vkey, sigma)] = st2
                 total += sum(st2.values())
-        last = deg
-        if total == 0 and deg > q_top:
-            zero_run += 1
-            if zero_run >= needed:
-                cube.stabilized = True
-                break
-        else:
-            zero_run = 0
-    cube.scan_hi = last
+        return total
+
+    cube.scan_lo = lo
+    cube.stabilized, cube.scan_hi = scan_degrees(
+        lo, max(hi, q_top + needed), q_top, needed, visit)
     if not cube.stabilized:
         cube.warnings.append(
             "degree window exhausted before the support stabilized")
@@ -621,13 +460,11 @@ def _check_faces(cube: _Cube):
             e_u = cube.edges[(eps, u)]
             e_tu = cube.edges[(e_t.tgt_key, u)]
             e_ut = cube.edges[(e_u.tgt_key, t)]
-            keys = [(k, sigma) for (k, sigma), sq
-                    in list(cube.vertices[eps]._stage.items())
-                    if sq is not None and sq.dim]
-            for k, sigma in sorted(keys):
-                sigma2 = _sigma_next(sigma, cube.N)
-                lhs = _compose(e_tu.w(k, sigma2), e_t.w(k, sigma))
-                rhs = _compose(e_ut.w(k, sigma2), e_u.w(k, sigma))
+            data = cube.vertices[eps]
+            for k, sigma in data.populated():
+                sigma2 = data.next(sigma)
+                lhs = mat_mul(e_tu.w(k, sigma2), e_t.w(k, sigma))
+                rhs = mat_mul(e_ut.w(k, sigma2), e_u.w(k, sigma))
                 assert lhs == rhs, \
                     (f"cube face ({t},{u}) fails to commute at step {k}, "
                      f"slice {sigma}")
@@ -647,12 +484,11 @@ def _assemble(cube: _Cube, order) -> TriGradedSpace:
 
     buckets: dict = {}
     for vkey, data in cube.vertices.items():
-        for (k, sigma), sq in sorted(list(data._stage.items())):
-            if sq is None or sq.dim == 0:
-                continue
+        for k, sigma in data.populated():
             khat, bucket = _report_grading(word, N, s0, vkey, k, sigma)
             levels = buckets.setdefault(bucket, {})
-            levels.setdefault(khat, []).append((vkey, k, sigma, sq.dim))
+            levels.setdefault(khat, []).append((vkey, k, sigma,
+                                                data.stage_dim(k, sigma)))
 
     space = TriGradedSpace()
     for bucket in sorted(buckets):
@@ -668,13 +504,12 @@ def _assemble(cube: _Cube, order) -> TriGradedSpace:
                 break
         if not active:
             continue
-        dims, offs, index = {}, {}, {}
+        dims, index = {}, {}
         for khat, plist in levels.items():
             plist.sort(key=lambda it: (_mu(it[0]), it[0], it[1], it[2]))
             off = 0
             index[khat] = {}
             for vkey, k, sigma, d in plist:
-                offs[(vkey, k, sigma)] = off
                 index[khat][(vkey, k, sigma)] = off
                 off += d
             dims[khat] = off
@@ -683,7 +518,7 @@ def _assemble(cube: _Cube, order) -> TriGradedSpace:
             tgt_index = index.get(khat + 1, {})
             ent = mats.setdefault(khat, {})
             for vkey, k, sigma, _d in plist:
-                c0 = offs[(vkey, k, sigma)]
+                c0 = index[khat][(vkey, k, sigma)]
                 mu = _mu(vkey)
                 km = cube.vertices[vkey].induced_kmap(k, sigma)
                 if km and (vkey, k + 1, sigma) in tgt_index:
@@ -696,8 +531,7 @@ def _assemble(cube: _Cube, order) -> TriGradedSpace:
                         continue
                     edge = cube.edges[(vkey, t)]
                     wm = edge.w(k, sigma)
-                    sigma2 = _sigma_next(sigma, N)
-                    tkey = (edge.tgt_key, k, sigma2)
+                    tkey = (edge.tgt_key, k, edge.src.next(sigma))
                     if wm and tkey in tgt_index:
                         r0 = tgt_index[tkey]
                         c_t = sum(1 for u in range(len(cube.slots))
@@ -733,7 +567,7 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
     coordinates.  The chain-map property and the termwise exactness of
     the tensored sequence are asserted along the way.
     """
-    N = _check_N(N)
+    N = None if N is None else check_N(N)
     window = window or DegreeWindow()
     if len(word.singular_positions) != 1:
         raise ValueError("wall_crossing_map wants exactly one singular "
@@ -743,19 +577,16 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
     slices: dict = {}
     src_dims: dict = {}
     tgt_dims: dict = {}
-    rank = 0
-    keys = [(k, sigma) for (k, sigma), sq in sorted(edge.src._stage.items())
-            if sq is not None and sq.dim]
-    for k, sigma in keys:
+    for k, sigma in edge.src.populated():
         wm = edge.w(k, sigma)
         src_dims[(k, sigma)] = edge.src.stage_dim(k, sigma)
-        sigma2 = _sigma_next(sigma, N)
+        sigma2 = edge.src.next(sigma)
         tdim = edge.tgt.stage_dim(k, sigma2)
         if tdim:
             tgt_dims[(k, sigma2)] = tdim
         if wm:
             slices[(k, sigma)] = wm
-            rank += matrix_rank(wm, tdim, src_dims[(k, sigma)])
+    rank = edge.rank()
     _edge_chain_check(edge)
     wmap = {
         "slices": slices,
@@ -785,7 +616,7 @@ def vassiliev_complex(word: Word, N=None, window: DegreeWindow = None,
     they exist to demonstrate exactly that.  Returns (TriGradedSpace,
     report).
     """
-    N = _check_N(N)
+    N = None if N is None else check_N(N)
     window = window or DegreeWindow()
     cube = _build_cube(word, N, window, scales=scales)
     s = len(cube.slots)
@@ -797,24 +628,15 @@ def vassiliev_complex(word: Word, N=None, window: DegreeWindow = None,
             raise ValueError("order must be a permutation of the singular "
                              "slots")
     for edge in cube.edges.values():
-        keys = [(k, sigma) for (k, sigma), sq
-                in sorted(edge.src._stage.items())
-                if sq is not None and sq.dim]
-        for k, sigma in keys:
+        for k, sigma in edge.src.populated():
             edge.w(k, sigma)
         _edge_chain_check(edge)
     _check_faces(cube)
     space = _assemble(cube, order)
     edge_ranks = {}
     for (eps, t), edge in sorted(cube.edges.items()):
-        r = 0
-        for (k, sigma), wm in edge._w.items():
-            if wm:
-                sigma2 = _sigma_next(sigma, N)
-                r += matrix_rank(wm, edge.tgt.stage_dim(k, sigma2),
-                                 edge.src.stage_dim(k, sigma))
         label = "".join("+" if e == POS else "-" for e in eps)
-        edge_ranks[(label, t)] = r
+        edge_ranks[(label, t)] = edge.rank()
     report = {
         "N": N,
         "order": list(order),

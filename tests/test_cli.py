@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from braidhom.cli import (EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, main)
 
 
@@ -42,6 +44,19 @@ def test_compare_flags_a_truncated_link(capsys):
 def test_malformed_word_is_an_input_error(capsys):
     code = main(["homfly-homology", "two strands please"])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["homfly-homology", "2: 5"],
+    ["homfly-homology", "2: 0"],
+    ["homfly-homology", "0:"],
+    ["homfly-homology", "2: -1!"],
+    ["homfly-homology", "2: 1! 1"],
+    ["sln-homology", "2: 1! 1", "--N", "2"],
+])
+def test_bad_word_is_an_input_error(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_sln_requires_a_finite_rank(capsys):

@@ -100,6 +100,32 @@ def test_rowspace_membership():
     assert space.dim == 2
 
 
+def test_reduced_leading_index_ignores_insertion_order():
+    # the reduced vector is the one of vec + span vanishing at every pivot
+    # column, so neither it nor its leading index depends on the order in
+    # which the span was built
+    rng = random.Random(23)
+    for _ in range(60):
+        nc = rng.randrange(1, 8)
+        span = random_dense(rng, rng.randrange(0, 6), nc, density=0.5)
+        span += [[a + b for a, b in zip(span[0], span[-1])]] if span else []
+        vecs = random_dense(rng, 4, nc, density=0.5)
+        first = None
+        for _shuffle in range(4):
+            order = span[:]
+            rng.shuffle(order)
+            space = RowSpace(nc)
+            for v in order:
+                space.add(v)
+            got = [(space.reduce(v), space.leading(v)) for v in vecs]
+            for v, (red, lead) in zip(vecs, got):
+                assert space.contains([a - b for a, b in zip(v, red)])
+                assert lead == next((c for c, x in enumerate(red) if x), None)
+            if first is None:
+                first = got
+            assert got == first
+
+
 def test_subquotient_three_term_complex():
     # d2: Q^1 -> Q^3 with image (1,-1,0); d1: Q^3 -> Q^1 summing coordinates.
     # ker d1 is 2-dim, so homology is 1-dim.

@@ -7,6 +7,7 @@ from braidhom.homology import TriGradedSpace, homfly_homology
 from braidhom.mfact import (MatrixFactorization, collapse_coefficient,
                             folded_column, sln_homology, z_factorization)
 from braidhom.oracle import homfly_oracle
+from braidhom.wallcross import vassiliev_complex, wall_crossing_map
 
 ORIGIN = [[0, 0, 0, 1]]
 TREFOIL_N2 = [[0, -2, 0, 1], [2, -6, 0, 1], [3, -8, 0, 1]]
@@ -112,3 +113,23 @@ def test_specialized_dimension_never_exceeds_unspecialized():
 def test_column_elimination_does_not_change_the_table():
     for text, N in [("2: 1 1 1", 2), ("2: 1 -1 1", 3)]:
         assert table(text, N, simplify=False) == table(text, N), (text, N)
+
+
+def test_rank_must_be_a_positive_integer():
+    word = Word.parse("2: 1 1 1")
+    for bad in (0, -1, 2.5, "2", True, None):
+        for call in (lambda: sln_homology(word, bad),
+                     lambda: z_factorization(2, bad)):
+            try:
+                call()
+                assert False, f"expected N={bad!r} to be rejected"
+            except ValueError:
+                pass
+    for bad in (0, 2.5, "2"):
+        for call in (lambda: vassiliev_complex(Word.parse("2: 1! 1"), N=bad),
+                     lambda: wall_crossing_map(Word.parse("2: 1!"), N=bad)):
+            try:
+                call()
+                assert False, f"expected N={bad!r} to be rejected"
+            except ValueError:
+                pass
