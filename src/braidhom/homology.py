@@ -35,20 +35,30 @@ into finite slices (ColumnSlices keyed (p, j), FoldedSlices keyed
 induced_matrix pushes classes for stage two, tower_homology takes the
 word-direction homology, ColumnData holds the columns of one word
 complex, and scan_degrees runs the degree scan.
+
+A slice with no differential in or out (after simplify, every slice of
+a contraction column) is a whole-space subquotient: its classes are the
+standard basis and expressing a vector is the identity, so stage one
+factors nothing.  Stage two pushes sparsely, column by column of the
+slice matrix; between two whole spaces the induced map is the slice
+matrix itself, and the solver runs only where a target slice has a
+differential.  Failed internal checks raise linalg.InvariantError, also
+under python -O.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .bimodule import Bimodule, GradedFreeBasis, graded_map_entries
 from .braid import Word
 from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
-from .linalg import Echelon, SubquotientBasis, mat_vec, matrix_rank, \
-    rows_from_entries
+from .linalg import ZERO, Echelon, InvariantError, SubquotientBasis, \
+    WholeSpace, matrix_rank, rows_from_entries
 from .poly import GradedPiece, phi
 
 
@@ -92,7 +102,8 @@ class TriGradedSpace:
         if d:
             key = (k, i, j)
             new = self.dims.get(key, 0) + d
-            assert new >= 0, f"negative dimension at {key}"
+            if new < 0:
+                raise InvariantError(f"negative dimension at {key}")
             if new:
                 self.dims[key] = new
             else:
@@ -389,7 +400,9 @@ def kernel_mod_image(dim: int, out: dict, out_dim: int,
                      inc: dict) -> SubquotientBasis:
     """Kernel of the outgoing entries (rows in out_dim coordinates)
     modulo the span of the columns of the incoming entries, on a space
-    of dimension dim."""
+    of dimension dim; a WholeSpace when both are empty."""
+    if not out and not inc:
+        return WholeSpace(dim)
     if out:
         cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
     else:
@@ -424,51 +437,86 @@ def slice_homology(sl, degrees) -> dict:
 
 def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
                    sq_tgt: SubquotientBasis) -> dict:
-    """Map induced on slice homology by a slice matrix (rows in tdim
-    coordinates): push each representative forward and express it in
-    the target subquotient."""
+    """Map induced on slice homology by a slice matrix {(row, col):
+    Fraction} (rows in tdim coordinates): push each representative
+    forward and express it in the target subquotient.
+
+    Pushes are sparse: the image of a whole-space source's c-th class
+    is column c of the matrix, and a whole-space target's coordinates
+    are the image itself, so between two whole spaces the induced map
+    is the matrix."""
+    src_whole = isinstance(sq_src, WholeSpace)
+    tgt_whole = isinstance(sq_tgt, WholeSpace)
+    if src_whole and tgt_whole:
+        return {key: v for key, v in entries.items() if v}
+    by_col = _by_column(entries)
     out: dict = {}
-    for c, rep in enumerate(sq_src.reps):
-        img = mat_vec(entries, rep, tdim)
-        try:
-            coords = sq_tgt.express(img)
-        except ValueError as e:
-            raise AssertionError(
-                "pushed representative left the target subquotient") from e
-        for r, v in enumerate(coords):
+    for c in range(sq_src.dim):
+        if src_whole:
+            img = dict(by_col.get(c, ()))
+        else:
+            img = {}
+            for x, val in enumerate(sq_src.reps[c]):
+                if val:
+                    for r, v in by_col.get(x, ()):
+                        img[r] = img.get(r, ZERO) + v * val
+        if not tgt_whole:
+            dense = [ZERO] * tdim
+            for r, v in img.items():
+                dense[r] = v
+            try:
+                img = dict(enumerate(sq_tgt.express(dense)))
+            except ValueError as e:
+                raise InvariantError(
+                    "pushed representative left the target subquotient") \
+                    from e
+        for r, v in img.items():
             if v:
                 out[(r, c)] = v
     return out
 
 
+def _cleared(m: dict) -> dict:
+    """m times the lcm of its denominators: an integer matrix.  A
+    nonzero scale changes neither the rank nor whether a product
+    vanishes."""
+    den = 1
+    for v in m.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    return {key: v.numerator * (den // v.denominator)
+            for key, v in m.items()}
+
+
 def _compose(m2: dict, m1: dict) -> dict:
-    by_col: dict = {}
-    for (r, c), v in m2.items():
-        by_col.setdefault(c, []).append((r, v))
+    by_col = _by_column(m2)
     out: dict = {}
     for (r1, c1), v1 in m1.items():
         for r2, v2 in by_col.get(r1, ()):
             key = (r2, c1)
-            out[key] = out.get(key, Fraction(0)) + v2 * v1
+            cur = out.get(key)
+            out[key] = v2 * v1 if cur is None else cur + v2 * v1
     return {k: v for k, v in out.items() if v}
 
 
 def tower_homology(dims: dict, mats: dict) -> dict:
     """Homology dimensions of a finite sequence of spaces and maps.
 
-    dims = {k: dim V_k}, mats = {k: matrix V_k -> V_{k+1}}; asserts that
-    consecutive maps compose to zero, then applies rank-nullity.
+    dims = {k: dim V_k}, mats = {k: matrix V_k -> V_{k+1}}; checks that
+    consecutive maps compose to zero, then applies rank-nullity, both on
+    the maps cleared to integers.
     """
+    mats = {k: _cleared(m) for k, m in mats.items()}
     for k in mats:
-        if k + 1 in mats:
-            assert not _compose(mats[k + 1], mats[k]), \
-                f"induced maps do not square to zero at {k}"
+        if k + 1 in mats and _compose(mats[k + 1], mats[k]):
+            raise InvariantError(
+                f"induced maps do not square to zero at {k}")
     ranks = {k: matrix_rank(m, dims.get(k + 1, 0), dims[k])
              for k, m in mats.items()}
     out = {}
     for k, d in dims.items():
         h = d - ranks.get(k, 0) - ranks.get(k - 1, 0)
-        assert h >= 0
+        if h < 0:
+            raise InvariantError(f"negative homology dimension at {k}")
         if h:
             out[k] = h
     return out

@@ -9,6 +9,16 @@ reused for many right-hand sides.
 
 Matrices enter as lists of sparse rows {col: coeff}; vectors are plain
 lists of Fractions.
+
+A SubquotientBasis (cycles modulo boundaries) expresses vectors through
+a factored Echelon of its boundary and representative columns.  A slice
+with no differential in or out is a WholeSpace instead: every vector is
+a cycle and none is a boundary, so the standard basis represents the
+classes and a vector is its own coordinate list.  It factors nothing,
+and its representatives are only built when something reads them.
+
+Violated internal invariants raise InvariantError, an AssertionError
+raised explicitly, so the checks also run under python -O.
 """
 
 from __future__ import annotations
@@ -16,13 +26,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+ZERO = Fraction(0)
+
+
+class InvariantError(AssertionError):
+    """An internal consistency check failed: a bug, never bad input."""
+
 
 def rows_from_entries(entries: dict, nrows: int) -> list:
-    """Turn a {(row, col): coeff} dict into a list of sparse row dicts."""
+    """Turn a {(row, col): coeff} dict into a list of sparse row dicts;
+    coefficients are Fractions or ints and stay as they are."""
     rows = [dict() for _ in range(nrows)]
     for (r, c), v in entries.items():
         if v:
-            rows[r][c] = Fraction(v)
+            rows[r][c] = v
     return rows
 
 
@@ -36,7 +53,8 @@ def _scaled_int_row(row: dict):
     denom = 1
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    nums = {c: int(v * denom) for c, v in row.items()}
+    nums = {c: v.numerator * (denom // v.denominator)
+            for c, v in row.items()}
     g = 0
     for v in nums.values():
         g = gcd(g, v)
@@ -114,14 +132,15 @@ class Echelon:
 
     def _transform_rhs(self, b):
         """Replay the recorded row operations on a right-hand side."""
-        w = [Fraction(v) * s for v, s in zip(b, self.scales)]
+        w = [v * s if v else ZERO for v, s in zip(b, self.scales)]
         for op in self.ops:
             if op[0] == "swap":
                 _, i, j = op
                 w[i], w[j] = w[j], w[i]
             else:
                 _, i, r, piv, v, g = op
-                w[i] = (piv * w[i] - v * w[r]) / g
+                if w[i] or w[r]:
+                    w[i] = (piv * w[i] - v * w[r]) / g
         return w
 
     def solve(self, b):
@@ -129,19 +148,27 @@ class Echelon:
 
         Free variables are set to zero, so the answer is deterministic.
         """
-        assert len(b) == self.nrows
+        if len(b) != self.nrows:
+            raise InvariantError(f"right-hand side of length {len(b)} for "
+                                 f"{self.nrows} rows")
         w = self._transform_rhs(b)
         for i in range(self.rank, self.nrows):
             if w[i]:
                 return None
-        x = [Fraction(0)] * self.ncols
+        return self._back_substitute([ZERO] * self.ncols, w)
+
+    def _back_substitute(self, x, w):
+        """Fill the pivot coordinates of x so that row r of the echelon
+        form applied to x gives w[r] (0 where w is None), skipping the
+        zero terms."""
         for r, col in reversed(self.pivots):
             row = self.rows[r]
-            acc = w[r]
+            acc = ZERO if w is None else w[r]
             for c, val in row.items():
-                if c > col:
+                if c > col and x[c]:
                     acc -= val * x[c]
-            x[col] = acc / row[col]
+            if acc:
+                x[col] = acc / row[col]
         return x
 
     def kernel_basis(self):
@@ -151,16 +178,9 @@ class Echelon:
         for f in range(self.ncols):
             if f in pivot_cols:
                 continue
-            x = [Fraction(0)] * self.ncols
+            x = [ZERO] * self.ncols
             x[f] = Fraction(1)
-            for r, col in reversed(self.pivots):
-                row = self.rows[r]
-                acc = Fraction(0)
-                for c, val in row.items():
-                    if c > col:
-                        acc -= val * x[c]
-                x[col] = acc / row[col]
-            basis.append(x)
+            basis.append(self._back_substitute(x, None))
         return basis
 
 
@@ -224,6 +244,12 @@ class RowSpace:
         return len(self.rows)
 
 
+def _check_length(vec, dim: int):
+    if len(vec) != dim:
+        raise ValueError(f"vector of length {len(vec)} in a space of "
+                         f"dimension {dim}")
+
+
 class SubquotientBasis:
     """A basis of (span of cycles)/(span of boundaries) with coordinates.
 
@@ -259,8 +285,35 @@ class SubquotientBasis:
 
     def express(self, vec):
         """Coordinates of vec in the representative basis, mod boundaries."""
+        _check_length(vec, self.ambient_dim)
         x = self._solver.solve(list(vec))
         if x is None:
             raise ValueError("vector is not in cycles + boundaries")
         nb = len(self.boundary_basis)
         return x[nb:]
+
+
+class WholeSpace(SubquotientBasis):
+    """The subquotient of a slice with no differential in or out: all
+    vectors are cycles, none is a boundary, the classes are represented
+    by the standard basis in order, and express() is the identity."""
+
+    boundary_basis = ()
+
+    def __init__(self, ambient_dim: int):
+        self.ambient_dim = ambient_dim
+
+    @property
+    def dim(self) -> int:
+        return self.ambient_dim
+
+    @property
+    def reps(self) -> list:
+        """The standard basis, built on every read."""
+        d = self.ambient_dim
+        return [[Fraction(int(t == s)) for t in range(d)] for s in range(d)]
+
+    def express(self, vec):
+        """vec itself: cycles plus boundaries is the whole space."""
+        _check_length(vec, self.ambient_dim)
+        return list(vec)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braid import NEG, POS, Word
 from .laurent import Laurent2
@@ -69,29 +70,28 @@ def braid_element(word: Word) -> dict:
     return elem
 
 
-_trace_memo: dict = {}
+TRACE_CACHE_SIZE = 1 << 10
 
 
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def basis_trace(w: tuple) -> dict:
-    """Markov trace of T_w as {z-degree: Laurent2 in q}."""
+    """Markov trace of T_w as {z-degree: Laurent2 in q}.
+
+    Memoized in a bounded cache shared by all words, large enough for
+    every permutation of at most six strands (873 of them); callers
+    must not mutate the returned dict."""
     n = len(w)
     if n <= 1:
         return {0: Laurent2.one()}
-    if w in _trace_memo:
-        return _trace_memo[w]
     if w[n - 1] == n - 1:
-        out = basis_trace(w[:n - 1])
-        _trace_memo[w] = out
-        return out
+        return basis_trace(w[:n - 1])
     k = w.index(n - 1)
     u = tuple(w[i] if i < k else w[i + 1] for i in range(n - 1))
     elem = {u: Laurent2.one()}
     for j in range(n - 3, k - 1, -1):
         elem = right_multiply(elem, j)
     inner = trace_element(elem)
-    out = {d + 1: c for d, c in inner.items()}  # the peeled g contributes z
-    _trace_memo[w] = out
-    return out
+    return {d + 1: c for d, c in inner.items()}  # the peeled g contributes z
 
 
 def trace_element(elem: dict) -> dict:

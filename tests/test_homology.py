@@ -1,11 +1,20 @@
 """Triply graded closure homology: anchors, frozen tables, trace checks."""
 
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 from braidhom.bimodule import identity_bimodule
 from braidhom.braid import Word
 from braidhom.conventions import homology_euler_as_skein, match_exact
 from braidhom.homology import (DegreeWindow, TriGradedSpace,
                                hochschild_bimodule, hochschild_closed_form,
-                               homfly_homology, koszul_resolution_check)
+                               homfly_homology, koszul_resolution_check,
+                               tower_homology)
+from braidhom.linalg import InvariantError
 from braidhom.oracle import homfly_oracle
 
 ORIGIN = [[0, 0, 0, 1]]
@@ -95,3 +104,34 @@ def test_self_tensor_homology_matches_closed_form():
 def test_contraction_complex_resolves_the_one_sided_ring():
     koszul_resolution_check(2)
     koszul_resolution_check(3, j_max=12)
+
+
+def test_tower_checks_raise_invariant_error():
+    one = Fraction(1)
+    with pytest.raises(InvariantError, match="square to zero"):
+        tower_homology({0: 1, 1: 1, 2: 1}, {0: {(0, 0): one},
+                                            1: {(0, 0): one}})
+    with pytest.raises(InvariantError, match="negative dimension"):
+        TriGradedSpace().add(0, 0, 0, -1)
+
+
+OPTIMIZED_TOWER = """
+from fractions import Fraction
+from braidhom.homology import tower_homology
+from braidhom.linalg import InvariantError
+assert False, "asserts must be stripped"
+one = Fraction(1)
+try:
+    tower_homology({0: 1, 1: 1, 2: 1}, {0: {(0, 0): one}, 1: {(0, 0): one}})
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_tower_check_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_TOWER],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.startswith("raised: induced maps do not square"), \
+        done.stdout + done.stderr

@@ -1,7 +1,13 @@
 import random
 from fractions import Fraction
 
-from braidhom.linalg import (Echelon, RowSpace, SubquotientBasis, mat_vec,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from braidhom import mfact
+from braidhom.homology import induced_matrix, kernel_mod_image
+from braidhom.linalg import (Echelon, InvariantError, RowSpace,
+                             SubquotientBasis, WholeSpace, mat_vec,
                              matrix_rank, rows_from_entries)
 
 
@@ -174,3 +180,107 @@ def test_homology_dimension_random_complexes():
         bd_rank = RowSpace(mid)
         img = sum(1 for v in cols if bd_rank.add(v))
         assert H.dim == len(kb) - img
+
+
+def identity(dim):
+    return [[Fraction(int(t == s)) for t in range(dim)] for s in range(dim)]
+
+
+def test_whole_space_from_a_slice_without_differential():
+    sq = kernel_mod_image(3, {}, 2, {})
+    assert isinstance(sq, WholeSpace) and sq.dim == 3
+    assert not isinstance(kernel_mod_image(3, {(0, 1): Fraction(1)}, 2, {}),
+                          WholeSpace)
+    assert not isinstance(kernel_mod_image(3, {}, 2, {(1, 0): Fraction(1)}),
+                          WholeSpace)
+
+
+def test_whole_space_express_returns_its_input():
+    sq = WholeSpace(4)
+    vec = [Fraction(0), Fraction(-3, 2), Fraction(0), Fraction(5)]
+    assert sq.express(vec) == vec
+    assert sq.express(vec) is not vec
+    assert WholeSpace(0).express([]) == []
+
+
+def test_whole_space_express_rejects_a_wrong_length():
+    for vec in ([Fraction(1)] * 2, [Fraction(1)] * 4):
+        with pytest.raises(ValueError):
+            WholeSpace(3).express(vec)
+    with pytest.raises(ValueError):
+        SubquotientBasis(3, identity(3), []).express([Fraction(1)] * 2)
+
+
+def test_whole_space_reps_are_the_standard_basis():
+    assert WholeSpace(3).reps == identity(3)
+    assert WholeSpace(3).reps == SubquotientBasis(3, identity(3), []).reps
+    assert WholeSpace(0).reps == [] and WholeSpace(0).dim == 0
+    assert list(WholeSpace(2).boundary_basis) == []
+
+
+def test_class_leads_on_a_whole_space():
+    assert mfact._leads(WholeSpace(4)) == [0, 1, 2, 3]
+    assert mfact._leads(WholeSpace(4)) == \
+        mfact._leads(SubquotientBasis(4, identity(4), []))
+
+
+def test_solve_length_check_raises_invariant_error():
+    ech = Echelon(rows_from_entries({(0, 0): Fraction(1)}, 2), 1)
+    with pytest.raises(InvariantError):
+        ech.solve([Fraction(1)])
+
+
+def reference_push(entries, tdim, sq_src, sq_tgt):
+    """The dense push: mat_vec on every representative, then express."""
+    out = {}
+    for c, rep in enumerate(sq_src.reps):
+        coords = sq_tgt.express(mat_vec(entries, rep, tdim))
+        out.update({(r, c): v for r, v in enumerate(coords) if v})
+    return out
+
+
+@st.composite
+def slice_maps(draw):
+    sdim, tdim = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    keys = st.tuples(st.integers(0, max(tdim - 1, 0)),
+                     st.integers(0, max(sdim - 1, 0)))
+    entries = draw(st.dictionaries(keys, st.integers(-3, 3).map(Fraction),
+                                   max_size=8)) if sdim and tdim else {}
+    return sdim, tdim, entries
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(slice_maps(), st.integers(0, 4))
+def test_sparse_push_matches_the_general_path(case, m):
+    sdim, tdim, entries = case
+    want = reference_push(entries, tdim,
+                          SubquotientBasis(sdim, identity(sdim), []),
+                          SubquotientBasis(tdim, identity(tdim), []))
+    for src in (WholeSpace(sdim), SubquotientBasis(sdim, identity(sdim), [])):
+        for tgt in (WholeSpace(tdim),
+                    SubquotientBasis(tdim, identity(tdim), [])):
+            assert induced_matrix(entries, tdim, src, tgt) == want
+        # a target spanned by the first m coordinates: pushed vectors
+        # with a nonzero entry past them leave it
+        m = min(m, tdim)
+        part = SubquotientBasis(tdim, identity(tdim)[:m], [])
+        if any(v and r >= m for (r, _c), v in entries.items()):
+            with pytest.raises(AssertionError):
+                induced_matrix(entries, tdim, src, part)
+        else:
+            assert induced_matrix(entries, tdim, src, part) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(slice_maps(), st.lists(st.lists(st.integers(-2, 2), min_size=4,
+                                       max_size=4), max_size=4))
+def test_sparse_push_of_general_representatives(case, raw):
+    # representatives that are not standard vectors, pushed sparsely
+    sdim, tdim, entries = case
+    cycles = [[Fraction(x) for x in vec[:sdim]] for vec in raw]
+    src = SubquotientBasis(sdim, cycles, [])
+    want = reference_push(entries, tdim, src,
+                          SubquotientBasis(tdim, identity(tdim), []))
+    assert induced_matrix(entries, tdim, src, WholeSpace(tdim)) == want
+    assert induced_matrix(entries, tdim, src,
+                          SubquotientBasis(tdim, identity(tdim), [])) == want

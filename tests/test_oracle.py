@@ -1,11 +1,13 @@
 """Trace-oracle tests: hand-verified values and skein/Markov properties."""
 
+import itertools
 from fractions import Fraction
 
 from braidhom.braid import Word
 from braidhom.laurent import Laurent2
-from braidhom.oracle import (A_SPREAD, DELTA, HomflyValue, homfly_oracle,
-                             oracle_self_test, vassiliev_oracle)
+from braidhom.oracle import (A_SPREAD, DELTA, TRACE_CACHE_SIZE, HomflyValue,
+                             basis_trace, homfly_oracle, oracle_self_test,
+                             vassiliev_oracle)
 
 MIRROR = ((1, -1, 0), (1, 0, -1))  # a -> a^{-1}, q -> q^{-1}
 
@@ -143,3 +145,19 @@ def test_oracle_word_helpers():
     assert len(res) == 2
     mus = sorted(mu for _, _, mu in res)
     assert mus == [0, 1]
+
+
+def test_trace_cache_stays_bounded():
+    # the basis elements of many distinct seven-strand braids (positive
+    # permutation braids) overflow the cache: it evicts, keeps its bound,
+    # and evicted traces come back exactly
+    trefoil = P("2: 1 1 1")
+    basis_trace.cache_clear()
+    perms = itertools.islice(itertools.permutations(range(7)), 1500)
+    for w in perms:
+        basis_trace(w)
+    info = basis_trace.cache_info()
+    assert info.misses > TRACE_CACHE_SIZE
+    assert info.currsize <= info.maxsize == TRACE_CACHE_SIZE
+    assert basis_trace((1, 0)) == {1: Laurent2.one()}
+    assert P("2: 1 1 1") == trefoil
