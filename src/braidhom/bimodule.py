@@ -20,8 +20,7 @@ Shifts: M.shift(a) raises all generator degrees by a (so elements become
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .linalg import InvariantError
 from .poly import GradedPiece, Poly
 
 # sparse matrix over S: {(row, col): Poly}
@@ -153,21 +152,25 @@ class Bimodule:
         return Bimodule(self.n, gens, actions)
 
     def check(self):
-        """Assert all bimodule axioms (homogeneity, commuting, sum zero)."""
+        """Check all bimodule axioms (homogeneity, commuting, sum zero);
+        InvariantError if one fails."""
         for k in range(self.n):
             for (a, b), p in self.actions[k].items():
                 d = p.homogeneous_degree()
-                assert d == 2 + self.gens[b] - self.gens[a], \
-                    f"action x_{k+1} entry {(a, b)} degree {d}"
+                if d != 2 + self.gens[b] - self.gens[a]:
+                    raise InvariantError(
+                        f"action x_{k+1} entry {(a, b)} degree {d}")
         total: Mat = {}
         for a in self.actions:
             total = mat_add(total, a)
-        assert not total, "right actions do not sum to zero"
+        if total:
+            raise InvariantError("right actions do not sum to zero")
         for k in range(self.n):
             for l in range(k + 1, self.n):
-                assert mat_eq(mat_mul(self.actions[k], self.actions[l]),
-                              mat_mul(self.actions[l], self.actions[k])), \
-                    f"actions x_{k+1}, x_{l+1} do not commute"
+                if not mat_eq(mat_mul(self.actions[k], self.actions[l]),
+                              mat_mul(self.actions[l], self.actions[k])):
+                    raise InvariantError(
+                        f"actions x_{k+1}, x_{l+1} do not commute")
 
     def __repr__(self):
         return f"Bimodule(n={self.n}, gens={self.gens})"
@@ -240,11 +243,13 @@ class BimoduleMap:
         return BimoduleMap(src, tgt, mat)
 
     def check(self):
-        """Assert the map intertwines all right actions."""
+        """Check the map intertwines all right actions; InvariantError if
+        not."""
         for k in range(1, self.src.n + 1):
             lhs = mat_mul(self.mat, self.src.action(k))
             rhs = mat_mul(self.tgt.action(k), self.mat)
-            assert mat_eq(lhs, rhs), f"does not intertwine x_{k}"
+            if not mat_eq(lhs, rhs):
+                raise InvariantError(f"does not intertwine x_{k}")
 
     def __repr__(self):
         return (f"BimoduleMap({self.src.rank}->{self.tgt.rank}, "
@@ -384,7 +389,7 @@ class GradedFreeBasis:
 
     def vector(self, polys) -> list:
         """Flatten a list of per-generator polys into one coefficient vector."""
-        v = [Fraction(0)] * self.dim
+        v = [0] * self.dim
         for a, p in enumerate(polys):
             if not p:
                 continue
@@ -404,7 +409,9 @@ class GradedFreeBasis:
 
 def graded_map_entries(mat: Mat, src: GradedFreeBasis,
                        tgt: GradedFreeBasis) -> dict:
-    """Scalar matrix {(row, col): Fraction} of a poly matrix in one degree.
+    """Scalar matrix {(row, col): coefficient} of a poly matrix in one
+    degree; coefficients are canonical (int when integral, Fraction
+    otherwise), as in the polys.
 
     src and tgt fix the internal degrees; entries whose degree cannot
     connect the two (empty pieces) contribute nothing, but a nonzero
@@ -423,5 +430,5 @@ def graded_map_entries(mat: Mat, src: GradedFreeBasis,
         ro, co = tgt.offsets[a], src.offsets[b]
         for (r, c), v in p.mult_matrix(sp, tp).items():
             key = (ro + r, co + c)
-            out[key] = out.get(key, Fraction(0)) + v
+            out[key] = out.get(key, 0) + v
     return {k: v for k, v in out.items() if v}

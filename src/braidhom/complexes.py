@@ -19,6 +19,7 @@ from .bimodule import (Bimodule, BimoduleMap, aux_bimodules,
                        mat_mul, merge_projection, split_inclusion)
 from .braid import POS, Word
 from .poly import Poly
+from .rational import quotient
 
 
 def bimodule_sum(parts):
@@ -315,7 +316,7 @@ def gaussian_eliminate(C: BComplex, verify: bool = True) -> BComplex:
         d = diffs[k]
         row = {c: p for (r, c), p in d.items() if r == r0 and c != c0}
         col = {r: p for (r, c), p in d.items() if c == c0 and r != r0}
-        inv = Poly.const(n, 1 / alpha)
+        inv = Poly.const(n, quotient(1, alpha))
         # reduced differential at k
         new_d = {key: p for key, p in d.items()
                  if key[0] != r0 and key[1] != c0}

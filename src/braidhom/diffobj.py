@@ -17,7 +17,9 @@ from the bimodule side.
 from __future__ import annotations
 
 from .bimodule import mat_clean, mat_mul
+from .linalg import InvariantError
 from .poly import Poly
+from .rational import quotient
 
 
 class DiffObject:
@@ -36,7 +38,8 @@ class DiffObject:
         return len(self.gens)
 
     def check(self, dh=None, dq: int = 0, square: bool = True):
-        """Assert homogeneity (and optionally d^2 = 0).
+        """Check homogeneity (and optionally d^2 = 0); InvariantError
+        if either fails.
 
         dh: required hdeg drop of the differential (None = don't check);
         dq: required internal degree of the differential.
@@ -44,12 +47,14 @@ class DiffObject:
         for (r, c), p in self.diff.items():
             hr, qr = self.gens[r]
             hc, qc = self.gens[c]
-            if dh is not None:
-                assert hr == hc + dh, f"hdeg mismatch at {(r, c)}"
-            assert p.homogeneous_degree() == dq + qc - qr, \
-                f"qdeg mismatch at {(r, c)}: {p.homogeneous_degree()} != {dq + qc - qr}"
-        if square:
-            assert not mat_mul(self.diff, self.diff), "d^2 != 0"
+            if dh is not None and hr != hc + dh:
+                raise InvariantError(f"hdeg mismatch at {(r, c)}")
+            if p.homogeneous_degree() != dq + qc - qr:
+                raise InvariantError(
+                    f"qdeg mismatch at {(r, c)}: "
+                    f"{p.homogeneous_degree()} != {dq + qc - qr}")
+        if square and mat_mul(self.diff, self.diff):
+            raise InvariantError("d^2 != 0")
 
     def square(self) -> dict:
         """d composed with itself, for callers that must inspect curvature."""
@@ -91,7 +96,7 @@ class DiffObject:
                 len(rows.get(rc[0], ())) * len(cols.get(rc[1], ())),
                 rc))
             alpha = rows[r0][c0]
-            inv = Poly.const(n, 1 / alpha.terms[(0,) * (n - 1)])
+            inv = Poly.const(n, quotient(1, alpha.terms[(0,) * (n - 1)]))
             row = {j: p for j, p in rows[r0].items() if j != c0}
             col = {i: p for i, p in cols[c0].items() if i != r0}
             # differential update d[i, j] -= col[i] inv row[j]

@@ -39,17 +39,21 @@ complex, and scan_degrees runs the degree scan.
 A slice with no differential in or out (after simplify, every slice of
 a contraction column) is a whole-space subquotient: its classes are the
 standard basis and expressing a vector is the identity, so stage one
-factors nothing.  Stage two pushes sparsely, column by column of the
-slice matrix; between two whole spaces the induced map is the slice
-matrix itself, and the solver runs only where a target slice has a
-differential.  Failed internal checks raise linalg.InvariantError, also
+factors nothing.  A slice with only an incoming differential is a
+quotient space: its classes are standard vectors too, and expressing a
+vector reduces it against the boundaries.  Stage two pushes sparsely,
+column by column of the slice matrix; between two whole spaces the
+induced map is the slice matrix itself, and the solver runs only where
+a target slice has an outgoing differential.  Coefficients are ints or
+Fractions: the polynomial data is canonical (rational.py: an int when
+integral), so slices start out integer and Fractions come only from
+divisions.  Failed internal checks raise linalg.InvariantError, also
 under python -O.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .bimodule import Bimodule, GradedFreeBasis, graded_map_entries
@@ -57,8 +61,8 @@ from .braid import Word
 from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
-from .linalg import ZERO, Echelon, InvariantError, SubquotientBasis, \
-    WholeSpace, matrix_rank, rows_from_entries
+from .linalg import Echelon, InvariantError, QuotientSpace, \
+    SubquotientBasis, WholeSpace, matrix_rank, rows_from_entries
 from .poly import GradedPiece, phi
 
 
@@ -400,17 +404,16 @@ def kernel_mod_image(dim: int, out: dict, out_dim: int,
                      inc: dict) -> SubquotientBasis:
     """Kernel of the outgoing entries (rows in out_dim coordinates)
     modulo the span of the columns of the incoming entries, on a space
-    of dimension dim; a WholeSpace when both are empty."""
+    of dimension dim; a QuotientSpace when out is empty, a WholeSpace
+    when both are."""
     if not out and not inc:
         return WholeSpace(dim)
-    if out:
-        cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
-    else:
-        cycles = [[Fraction(int(t == s)) for t in range(dim)]
-                  for s in range(dim)]
     cols: dict = {}
     for (r, c), v in inc.items():
-        cols.setdefault(c, [Fraction(0)] * dim)[r] = v
+        cols.setdefault(c, [0] * dim)[r] = v
+    if not out:
+        return QuotientSpace(dim, cols.values())
+    cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
     return SubquotientBasis(dim, cycles, list(cols.values()))
 
 
@@ -438,30 +441,32 @@ def slice_homology(sl, degrees) -> dict:
 def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
                    sq_tgt: SubquotientBasis) -> dict:
     """Map induced on slice homology by a slice matrix {(row, col):
-    Fraction} (rows in tdim coordinates): push each representative
-    forward and express it in the target subquotient.
+    coefficient} (rows in tdim coordinates; coefficients and induced
+    entries are ints or Fractions): push each representative forward
+    and express it in the target subquotient.
 
-    Pushes are sparse: the image of a whole-space source's c-th class
-    is column c of the matrix, and a whole-space target's coordinates
+    Pushes are sparse: a quotient-space source represents its c-th
+    class by the standard vector at its c-th free index, whose image is
+    that column of the matrix, and a whole-space target's coordinates
     are the image itself, so between two whole spaces the induced map
     is the matrix."""
-    src_whole = isinstance(sq_src, WholeSpace)
+    free = sq_src.free if isinstance(sq_src, QuotientSpace) else None
     tgt_whole = isinstance(sq_tgt, WholeSpace)
-    if src_whole and tgt_whole:
+    if tgt_whole and isinstance(sq_src, WholeSpace):
         return {key: v for key, v in entries.items() if v}
     by_col = _by_column(entries)
     out: dict = {}
     for c in range(sq_src.dim):
-        if src_whole:
-            img = dict(by_col.get(c, ()))
+        if free is not None:
+            img = dict(by_col.get(free[c], ()))
         else:
             img = {}
             for x, val in enumerate(sq_src.reps[c]):
                 if val:
                     for r, v in by_col.get(x, ()):
-                        img[r] = img.get(r, ZERO) + v * val
+                        img[r] = img.get(r, 0) + v * val
         if not tgt_whole:
-            dense = [ZERO] * tdim
+            dense = [0] * tdim
             for r, v in img.items():
                 dense[r] = v
             try:

@@ -1,21 +1,26 @@
 """Exact sparse linear algebra over Q.
 
 Everything the homology pipeline needs reduces to ranks, kernels, and
-solves of sparse matrices with Fraction entries.  Rows are cleared to
-integers and eliminated fraction-free (cross-multiplication followed by
-a gcd reduction), which keeps entries small without ever leaving exact
-arithmetic.  Row operations are recorded so a factored matrix can be
+solves of sparse matrices with exact rational entries.  Rows are cleared
+to integers and eliminated fraction-free (cross-multiplication followed
+by a gcd reduction), which keeps entries small without ever leaving
+exact arithmetic.  Row operations are recorded so a factored matrix can be
 reused for many right-hand sides.
 
 Matrices enter as lists of sparse rows {col: coeff}; vectors are plain
-lists of Fractions.
+lists.  Coefficients are ints or Fractions: the polynomial layer hands
+in canonical values (rational.py: an int when integral), so most
+arithmetic stays on ints, and every division goes through
+rational.quotient, so no float can arise.
 
 A SubquotientBasis (cycles modulo boundaries) expresses vectors through
 a factored Echelon of its boundary and representative columns.  A slice
-with no differential in or out is a WholeSpace instead: every vector is
-a cycle and none is a boundary, so the standard basis represents the
-classes and a vector is its own coordinate list.  It factors nothing,
-and its representatives are only built when something reads them.
+with no outgoing differential is a QuotientSpace instead: every vector
+is a cycle, so standard vectors represent the classes and expressing a
+vector is a reduction against the boundaries.  With no incoming
+differential either it is a WholeSpace, where a vector is its own
+coordinate list.  Neither factors anything, and their representatives
+are only built when something reads them.
 
 Violated internal invariants raise InvariantError, an AssertionError
 raised explicitly, so the checks also run under python -O.
@@ -23,10 +28,9 @@ raised explicitly, so the checks also run under python -O.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-ZERO = Fraction(0)
+from .rational import quotient
 
 
 class InvariantError(AssertionError):
@@ -35,7 +39,7 @@ class InvariantError(AssertionError):
 
 def rows_from_entries(entries: dict, nrows: int) -> list:
     """Turn a {(row, col): coeff} dict into a list of sparse row dicts;
-    coefficients are Fractions or ints and stay as they are."""
+    coefficients stay as they are."""
     rows = [dict() for _ in range(nrows)]
     for (r, c), v in entries.items():
         if v:
@@ -46,15 +50,20 @@ def rows_from_entries(entries: dict, nrows: int) -> list:
 def _scaled_int_row(row: dict):
     """Clear denominators and divide out the content; returns (irow, scale).
 
-    scale is the Fraction s with irow = s * row.
+    scale is the rational s with irow = s * row.
     """
     if not row:
-        return {}, Fraction(1)
-    denom = 1
+        return {}, 1
+    denom, ints = 1, True
     for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    nums = {c: v.numerator * (denom // v.denominator)
-            for c, v in row.items()}
+        if type(v) is not int:
+            ints = False
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+    if ints:
+        nums = dict(row)
+    else:
+        nums = {c: v.numerator * (denom // v.denominator)
+                for c, v in row.items()}
     g = 0
     for v in nums.values():
         g = gcd(g, v)
@@ -62,7 +71,7 @@ def _scaled_int_row(row: dict):
         nums = {c: v // g for c, v in nums.items()}
     else:
         g = 1
-    return nums, Fraction(denom, g)
+    return nums, quotient(denom, g)
 
 
 class Echelon:
@@ -132,7 +141,7 @@ class Echelon:
 
     def _transform_rhs(self, b):
         """Replay the recorded row operations on a right-hand side."""
-        w = [v * s if v else ZERO for v, s in zip(b, self.scales)]
+        w = [v * s if v else 0 for v, s in zip(b, self.scales)]
         for op in self.ops:
             if op[0] == "swap":
                 _, i, j = op
@@ -140,7 +149,9 @@ class Echelon:
             else:
                 _, i, r, piv, v, g = op
                 if w[i] or w[r]:
-                    w[i] = (piv * w[i] - v * w[r]) / g
+                    w[i] = piv * w[i] - v * w[r]
+                    if g != 1:
+                        w[i] = quotient(w[i], g)
         return w
 
     def solve(self, b):
@@ -155,7 +166,7 @@ class Echelon:
         for i in range(self.rank, self.nrows):
             if w[i]:
                 return None
-        return self._back_substitute([ZERO] * self.ncols, w)
+        return self._back_substitute([0] * self.ncols, w)
 
     def _back_substitute(self, x, w):
         """Fill the pivot coordinates of x so that row r of the echelon
@@ -163,12 +174,12 @@ class Echelon:
         zero terms."""
         for r, col in reversed(self.pivots):
             row = self.rows[r]
-            acc = ZERO if w is None else w[r]
+            acc = 0 if w is None else w[r]
             for c, val in row.items():
                 if c > col and x[c]:
                     acc -= val * x[c]
             if acc:
-                x[col] = acc / row[col]
+                x[col] = quotient(acc, row[col])
         return x
 
     def kernel_basis(self):
@@ -178,8 +189,8 @@ class Echelon:
         for f in range(self.ncols):
             if f in pivot_cols:
                 continue
-            x = [ZERO] * self.ncols
-            x[f] = Fraction(1)
+            x = [0] * self.ncols
+            x[f] = 1
             basis.append(self._back_substitute(x, None))
         return basis
 
@@ -189,7 +200,7 @@ def matrix_rank(entries: dict, nrows: int, ncols: int) -> int:
 
 
 def mat_vec(entries: dict, vec, nrows: int):
-    out = [Fraction(0)] * nrows
+    out = [0] * nrows
     for (r, c), v in entries.items():
         if vec[c]:
             out[r] += v * vec[c]
@@ -205,14 +216,14 @@ class RowSpace:
         self.pivcols = []
 
     def reduce(self, vec):
-        """Reduce a Fraction vector against the stored rows (copy returned).
+        """Reduce a vector against the stored rows (copy returned).
 
         The result is the vector of vec + span that vanishes at every
         pivot column, so it does not depend on the insertion order."""
         w = list(vec)
         for row, pc in zip(self.rows, self.pivcols):
             if w[pc]:
-                factor = w[pc] / row[pc]
+                factor = quotient(w[pc], row[pc])
                 for c, val in row.items():
                     w[c] -= factor * val
         return w
@@ -293,25 +304,55 @@ class SubquotientBasis:
         return x[nb:]
 
 
-class WholeSpace(SubquotientBasis):
+class QuotientSpace(SubquotientBasis):
+    """The subquotient of a slice with no outgoing differential: every
+    vector is a cycle, modulo the span of the boundaries.
+
+    The classes are represented by the standard vectors e_s at the free
+    indices s, those that are no boundary's trailing (last nonzero)
+    index, in ascending order.  These are exactly the vectors a greedy
+    choice from the identity list keeps, since e_s lies in the
+    boundaries plus e_0..e_{s-1} exactly when some boundary ends at s.
+    express() reduces a vector against the boundaries from the trailing
+    end, which leaves it supported on the free indices, and reads its
+    coordinates off there; nothing is factored.
+    """
+
+    def __init__(self, ambient_dim: int, boundaries=()):
+        self.ambient_dim = ambient_dim
+        self._span = RowSpace(ambient_dim)  # boundaries, coordinates reversed
+        self.boundary_basis = []
+        for b in boundaries:
+            if self._span.add(b[::-1]):
+                self.boundary_basis.append(list(b))
+        top = ambient_dim - 1
+        trailing = {top - pc for pc in self._span.pivcols}
+        self.free = [s for s in range(ambient_dim) if s not in trailing]
+
+    @property
+    def dim(self) -> int:
+        return len(self.free)
+
+    @property
+    def reps(self) -> list:
+        """The standard vectors at the free indices, built on every read."""
+        d = self.ambient_dim
+        return [[int(t == s) for t in range(d)] for s in self.free]
+
+    def express(self, vec):
+        _check_length(vec, self.ambient_dim)
+        w = self._span.reduce(vec[::-1])
+        top = self.ambient_dim - 1
+        return [w[top - s] for s in self.free]
+
+
+class WholeSpace(QuotientSpace):
     """The subquotient of a slice with no differential in or out: all
     vectors are cycles, none is a boundary, the classes are represented
     by the standard basis in order, and express() is the identity."""
 
-    boundary_basis = ()
-
     def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim
-
-    @property
-    def reps(self) -> list:
-        """The standard basis, built on every read."""
-        d = self.ambient_dim
-        return [[Fraction(int(t == s)) for t in range(d)] for s in range(d)]
+        super().__init__(ambient_dim)
 
     def express(self, vec):
         """vec itself: cycles plus boundaries is the whole space."""

@@ -65,7 +65,7 @@ from .diffobj import DiffObject
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
                        exterior_column, kernel_mod_image, scan_bounds,
                        scan_degrees, two_sided_koszul)
-from .linalg import RowSpace
+from .linalg import InvariantError, RowSpace
 from .poly import Poly, power_sum_difference, psi_quotient
 
 
@@ -130,14 +130,17 @@ class MatrixFactorization:
         return len(self.labels)
 
     def check(self):
-        """Assert d*d equals the potential times the identity."""
+        """Check d*d equals the potential times the identity;
+        InvariantError if not."""
         sq = mat_mul(self.diff, self.diff)
         expected = {}
         if self.potential:
             for i in range(self.rank):
                 expected[(i, i)] = self.potential
-        assert mat_eq(sq, expected), \
-            f"factorization square differs from the potential (n={self.n}, N={self.N})"
+        if not mat_eq(sq, expected):
+            raise InvariantError(
+                "factorization square differs from the potential "
+                f"(n={self.n}, N={self.N})")
 
     def __repr__(self):
         return (f"MatrixFactorization(n={self.n}, N={self.N}, "
@@ -158,8 +161,8 @@ def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
     Generators are labelled (a, J) like the contraction column, with
     homological slot |J| (the exterior weight) and collapsed degree
     g_a + c|J|.  Raises ValueError when the potential acts nontrivially
-    on M (curved case), after asserting that the square really is the
-    potential action.
+    on M (curved case), after checking that the square really is the
+    potential action (InvariantError if it is not).
     """
     n = M.n
     top = n + 1 if full else n
@@ -176,8 +179,9 @@ def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
                 p = pot.get((b, a))
                 if p:
                     expected[(index[(b, J)], col)] = p
-        assert mat_eq(sq, expected), \
-            "folded square differs from the potential action"
+        if not mat_eq(sq, expected):
+            raise InvariantError(
+                "folded square differs from the potential action")
         raise ValueError(
             "the potential acts nontrivially on this bimodule for this N: "
             "the folded differential is curved")

@@ -8,7 +8,9 @@ of coefficient dicts.  Bimodule constructions also need the two-sided
 ring S (x) S whose right copy uses variables y_1, ..., y_{n-1} with y_n
 eliminated the same way.
 
-A Poly is a sparse mapping {exponent tuple: Fraction}; exponent tuples
+A Poly is a sparse mapping {exponent tuple: coefficient}, each
+coefficient an exact rational in the canonical form of rational.py (an
+int when integral, a Fraction otherwise); exponent tuples
 have length n-1 (one-sided) or 2(n-1) (two-sided, x-block then y-block).
 For n = 1 the only monomial is the empty tuple and polys are constants.
 """
@@ -18,9 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .rational import exact
+
 
 class Poly:
-    """Sparse polynomial with exact rational coefficients."""
+    """Sparse polynomial with exact rational coefficients (int when
+    integral, Fraction otherwise; anything else raises TypeError)."""
 
     __slots__ = ("n", "two_sided", "terms")
 
@@ -31,7 +36,8 @@ class Poly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = exact(c)
                 if c:
                     mono = tuple(mono)
                     assert len(mono) == m, (mono, m)
@@ -51,7 +57,7 @@ class Poly:
     @classmethod
     def const(cls, n: int, c, two_sided: bool = False) -> "Poly":
         m = 2 * (n - 1) if two_sided else n - 1
-        return cls(n, {(0,) * m: Fraction(c)}, two_sided)
+        return cls(n, {(0,) * m: c}, two_sided)
 
     @classmethod
     def one(cls, n: int, two_sided: bool = False) -> "Poly":
@@ -65,12 +71,12 @@ class Poly:
         if i < n:
             e = [0] * m
             e[i - 1] = 1
-            return cls(n, {tuple(e): Fraction(1)}, two_sided)
+            return cls(n, {tuple(e): 1}, two_sided)
         terms = {}
         for j in range(n - 1):
             e = [0] * m
             e[j] = 1
-            terms[tuple(e)] = Fraction(-1)
+            terms[tuple(e)] = -1
         return cls(n, terms, two_sided)
 
     @classmethod
@@ -81,12 +87,12 @@ class Poly:
         if i < n:
             e = [0] * m
             e[n - 1 + i - 1] = 1
-            return cls(n, {tuple(e): Fraction(1)}, True)
+            return cls(n, {tuple(e): 1}, True)
         terms = {}
         for j in range(n - 1):
             e = [0] * m
             e[n - 1 + j] = 1
-            terms[tuple(e)] = Fraction(-1)
+            terms[tuple(e)] = -1
         return cls(n, terms, True)
 
     # --- ring structure ---
@@ -95,12 +101,12 @@ class Poly:
         assert self.n == other.n and self.two_sided == other.two_sided
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.n, other, self.two_sided)
         self._compat(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            terms[mono] = terms.get(mono, 0) + c
         return Poly(self.n, terms, self.two_sided)
 
     def __sub__(self, other):
@@ -110,7 +116,8 @@ class Poly:
         return Poly(self.n, {m: -c for m, c in self.terms.items()}, self.two_sided)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            other = exact(other)
             return Poly(self.n, {m: c * other for m, c in self.terms.items()},
                         self.two_sided)
         self._compat(other)
@@ -118,7 +125,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(self.n, terms, self.two_sided)
 
     __rmul__ = __mul__
@@ -200,7 +207,7 @@ class Poly:
             for e, coef in self.terms.items():
                 target = tuple(a + b for a, b in zip(e, mono))
                 out_key = (tgt.index(target), c_idx)
-                out[out_key] = out.get(out_key, Fraction(0)) + coef
+                out[out_key] = out.get(out_key, 0) + coef
         return {k: v for k, v in out.items() if v}
 
     def __repr__(self):
@@ -262,7 +269,7 @@ class GradedPiece:
 
     def vector(self, p: Poly) -> list:
         """Coefficient vector of a homogeneous poly in this piece's basis."""
-        v = [Fraction(0)] * self.dim
+        v = [0] * self.dim
         for mono, c in p.terms.items():
             v[self._index[mono]] = c
         return v

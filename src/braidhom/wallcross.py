@@ -70,6 +70,7 @@ from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
                        tower_homology)
 from .linalg import Echelon, mat_vec, matrix_rank, rows_from_entries
 from .poly import monomial_count
+from .rational import exact, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +101,11 @@ def extension_realization(n: int, i: int, scale=1,
     vanishes; the ranks are termwise exact in every internal degree up
     to j_max; the inclusion sends the distinguished generator to the
     distinguished extension generator with coefficient one.  Only after
-    these checks is the scalar applied.
+    these checks is the scalar applied.  The scale must be an int or a
+    Fraction (TypeError otherwise: a float would enter as a binary
+    fraction).
     """
-    scale = Fraction(scale)
+    scale = exact(scale)
     if not scale:
         raise ValueError("extension scale must be nonzero")
     X, E, Y1, iota, pi = crossing_change_ses(n, i)
@@ -127,7 +130,7 @@ def extension_realization(n: int, i: int, scale=1,
         and list(top.terms.values()) == [Fraction(1)], \
         "inclusion does not hit the distinguished generator with coefficient 1"
     if scale != 1:
-        inv = Fraction(1, 1) / scale
+        inv = quotient(1, scale)
         iota = ChainMap(X, E, {k: f.scale(inv)
                                for k, f in iota.comps.items()})
         iota.check()

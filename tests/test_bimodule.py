@@ -1,12 +1,19 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from braidhom.bimodule import (BimoduleMap, GradedFreeBasis, aux_bimodules,
-                               bs_bimodule, extension_bimodule,
+import pytest
+
+from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
+                               aux_bimodules, bs_bimodule, extension_bimodule,
                                graded_map_entries, identity_bimodule,
                                identity_map, mat_eq, merge_projection,
                                split_inclusion)
-from braidhom.linalg import matrix_rank
+from braidhom.diffobj import DiffObject
+from braidhom.linalg import InvariantError, matrix_rank
+from braidhom.mfact import MatrixFactorization
 from braidhom.poly import Poly, phi
 
 
@@ -164,3 +171,56 @@ def test_graded_basis_roundtrip_and_map_matrix():
             got[r] += val * v[c]
         assert got == expect
         assert tgt.decompose(expect) == image
+
+
+# -- the checks raise InvariantError, also under python -O -------------------
+
+def test_failed_checks_raise_invariant_error():
+    # e_0 -> e_0 on S_1 does not commute with the right action of x_2,
+    # which sends e_0 to e_1
+    B = bs_bimodule(2, 1)
+    with pytest.raises(InvariantError, match="intertwine"):
+        BimoduleMap(B, B, {(0, 0): Poly.one(2)}).check()
+    with pytest.raises(InvariantError, match="sum to zero"):
+        Bimodule(2, B.gens, [B.action(1), B.action(1)]).check()
+    x = Poly.x(2, 1)
+    with pytest.raises(InvariantError, match="d\\^2"):
+        DiffObject(2, [(0, 4), (0, 2), (0, 0)],
+                   {(1, 0): x, (2, 1): x}).check()
+    z = MatrixFactorization(2, 3)
+    z.diff = {key: p + p for key, p in z.diff.items()}
+    with pytest.raises(InvariantError, match="potential"):
+        z.check()
+
+
+def test_folded_curvature_check_raises_invariant_error(monkeypatch):
+    # a wrong potential makes the square of a curved fold disagree with it
+    from braidhom import mfact
+    E, _maps = aux_bimodules(2, 1)
+    monkeypatch.setattr(mfact, "power_sum_difference",
+                        lambda n, N: Poly.zero(n, True))
+    with pytest.raises(InvariantError, match="potential action"):
+        mfact.folded_column(E, 3)
+
+
+OPTIMIZED_INTERTWINING = """
+from braidhom.bimodule import BimoduleMap, bs_bimodule
+from braidhom.linalg import InvariantError
+from braidhom.poly import Poly
+assert False, "asserts must be stripped"
+B = bs_bimodule(2, 1)
+try:
+    BimoduleMap(B, B, {(0, 0): Poly.one(2)}).check()
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_intertwining_check_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c",
+                           OPTIMIZED_INTERTWINING],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.startswith("raised: does not intertwine"), \
+        done.stdout + done.stderr

@@ -1,9 +1,20 @@
 """The library computes in exact arithmetic: no float literal, no use of
 the name float, and from math only the integer functions gcd and comb.
-cli.py is exempt: it times runs."""
+cli.py is exempt: it times runs.  Divisions make Fractions, never
+floats, and coefficients stay int or Fraction through every layer."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from braidhom.bimodule import Bimodule, BimoduleMap
+from braidhom.braid import Word
+from braidhom.complexes import BComplex, gaussian_eliminate
+from braidhom.diffobj import DiffObject
+from braidhom.poly import Poly
+from braidhom.wallcross import extension_realization, wall_crossing_map
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidhom"
 MATH_ALLOWED = {"gcd", "comb"}
@@ -42,3 +53,53 @@ def test_the_lint_sees_each_kind_of_inexact_use():
     assert sorted(hits) == ["1: import math", "2: from math import sqrt",
                             "3: float literal 0.5", "4: name float",
                             "5: float literal 1j"]
+
+
+def coefficients(mats) -> list:
+    return [c for m in mats for p in m.values() for c in p.terms.values()]
+
+
+def test_elimination_with_pivot_two_makes_halves():
+    # d(g1) = 2 g0 + x g2 and d(g3) = x g0: cancelling the pivot 2
+    # leaves d(g3) = -x^2/2 g2 and puts -1/2 into both homotopy maps
+    n = 2
+    x = Poly.x(n, 1)
+    obj = DiffObject(n, [(0, 0), (1, 0), (0, -2), (1, 2)],
+                     {(0, 1): Poly.const(n, 2), (2, 1): x, (0, 3): x})
+    red, F, G = obj.eliminate()
+    assert red.diff == {(0, 1): Fraction(-1, 2) * x * x}
+    assert F[(0, 0)] == Fraction(-1, 2) * x and G[(1, 1)] == Fraction(-1, 2) * x
+    found = coefficients([red.diff, F, G])
+    assert Fraction(-1, 2) in found
+    assert all(type(c) in (int, Fraction) for c in found)
+
+
+def test_gaussian_elimination_with_pivot_two_makes_halves():
+    n = 2
+    x1, x2 = Poly.x(n, 1), Poly.x(n, 2)
+
+    def free(gens):
+        return Bimodule(n, gens, [{(a, a): x for a in range(len(gens))}
+                                  for x in (x1, x2)])
+
+    src, tgt = free((0, 2)), free((0, -2))
+    d = BimoduleMap(src, tgt, {(0, 0): Poly.const(n, 2), (1, 0): x1,
+                               (0, 1): x1})
+    out = gaussian_eliminate(BComplex(n, {0: src, 1: tgt}, {0: d}))
+    assert out.diff_mat(0) == {(0, 0): Fraction(-1, 2) * x1 * x1}
+    found = coefficients([out.diff_mat(0)] + list(out.objs[0].actions)
+                         + list(out.objs[1].actions))
+    assert all(type(c) in (int, Fraction) for c in found)
+
+
+def test_wall_crossing_entries_are_exact():
+    for scale in (1, Fraction(1, 3)):
+        wmap, _report = wall_crossing_map(Word.parse("2: 1!"), scale=scale)
+        values = [v for m in wmap["slices"].values() for v in m.values()]
+        assert values and all(type(v) in (int, Fraction) for v in values)
+        assert (Fraction(-1, 3) in values) == (scale != 1)
+    for scale in (0.1, 2.0):
+        with pytest.raises(TypeError):
+            extension_realization(2, 1, scale=scale)
+        with pytest.raises(TypeError):
+            wall_crossing_map(Word.parse("2: 1!"), scale=scale)

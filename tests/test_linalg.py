@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidhom import mfact
-from braidhom.homology import induced_matrix, kernel_mod_image
-from braidhom.linalg import (Echelon, InvariantError, RowSpace,
+from braidhom.braid import Word
+from braidhom.complexes import rouquier_complex
+from braidhom.homology import (ColumnData, DegreeWindow, induced_matrix,
+                               kernel_mod_image, scan_bounds)
+from braidhom.linalg import (Echelon, InvariantError, QuotientSpace, RowSpace,
                              SubquotientBasis, WholeSpace, mat_vec,
                              matrix_rank, rows_from_entries)
 
@@ -284,3 +287,104 @@ def test_sparse_push_of_general_representatives(case, raw):
     assert induced_matrix(entries, tdim, src, WholeSpace(tdim)) == want
     assert induced_matrix(entries, tdim, src,
                           SubquotientBasis(tdim, identity(tdim), [])) == want
+
+
+# -- exact results from mixed int / Fraction input ---------------------------
+
+def exact_values(vec) -> bool:
+    return all(type(v) in (int, Fraction) for v in vec)
+
+
+@st.composite
+def mixed_dense(draw, nrows, ncols):
+    """A dense matrix as all-Fraction reference values and as the same
+    values written mixed: an integral value at random as an int."""
+    ref = [[draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                 | st.just(Fraction(0))) for _ in range(ncols)]
+           for _ in range(nrows)]
+    mixed = [[int(v) if v.denominator == 1 and draw(st.booleans()) else v
+              for v in row] for row in ref]
+    return ref, mixed
+
+
+@st.composite
+def mixed_systems(draw):
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return nc, draw(mixed_dense(nr, nc)), draw(mixed_dense(1, nr)), \
+        draw(mixed_dense(1, nc))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(mixed_systems())
+def test_mixed_input_gives_exact_results_equal_to_the_fraction_path(case):
+    nc, (ref, mixed), (ref_b, mix_b), (ref_v, mix_v) = case
+    nr = len(ref)
+    results = []
+    for dense, b, vec in ((ref, ref_b[0], ref_v[0]),
+                          (mixed, mix_b[0], mix_v[0])):
+        entries = to_entries(dense)
+        ech = Echelon(rows_from_entries(entries, nr), nc)
+        kernel = ech.kernel_basis()
+        x = ech.solve(b)
+        image = mat_vec(entries, [1] * nc, nr)
+        y = ech.solve(image)
+        space = RowSpace(nc)
+        for row in dense:
+            space.add(row)
+        red = space.reduce(vec)
+        for v in kernel + [red, image] + [w for w in (x, y) if w is not None]:
+            assert exact_values(v)
+        assert y is not None and mat_vec(entries, y, nr) == image
+        if x is not None:
+            assert mat_vec(entries, x, nr) == b
+        results.append((kernel, x, y, red))
+    assert results[0] == results[1]
+
+
+# -- quotient spaces: slices with an incoming but no outgoing differential --
+
+def assert_same_subquotient(sq, ref, dim):
+    assert sq.dim == ref.dim
+    assert sq.reps == ref.reps
+    assert sq.boundary_basis == ref.boundary_basis
+    assert mfact._leads(sq) == mfact._leads(ref)
+    probes = identity(dim) + [[Fraction(t + 1, 2) for t in range(dim)]]
+    for vec in probes:
+        assert sq.express(vec) == ref.express(vec)
+
+
+def test_quotient_space_reps_match_the_identity_list_on_sln_slices():
+    # mfact._leads and the class weights read the representatives, so
+    # they must be the same vectors in the same order as the greedy
+    # choice from the identity list
+    seen = 0
+    for text, N in (("2: 1 1 1", 3), ("2: 1 1 1 1 1", 3)):
+        data = ColumnData(rouquier_complex(Word.parse(text)), N, True)
+        lo, _hi, top = scan_bounds(data.cols.values(), DegreeWindow())
+        for q in range(lo, top + 3 * (N + 1)):
+            for sigma in data.sigmas(q):
+                for sl in data.slicers.values():
+                    dim, inc = sl.dim(sigma), sl.diff(sl.prev(sigma))
+                    if not dim or sl.diff(sigma) or not inc:
+                        continue
+                    sq = kernel_mod_image(dim, {}, 0, inc)
+                    assert type(sq) is QuotientSpace
+                    cols: dict = {}
+                    for (r, c), v in inc.items():
+                        cols.setdefault(c, [0] * dim)[r] = v
+                    ref = SubquotientBasis(dim, identity(dim),
+                                           list(cols.values()))
+                    assert_same_subquotient(sq, ref, dim)
+                    seen += sq.free != list(range(sq.dim))
+    assert seen >= 10  # slices whose classes skip some standard vectors
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                  max_size=d), max_size=5))))
+def test_quotient_space_matches_the_identity_list(case):
+    dim, boundaries = case
+    assert_same_subquotient(QuotientSpace(dim, boundaries),
+                            SubquotientBasis(dim, identity(dim), boundaries),
+                            dim)

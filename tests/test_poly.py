@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from braidhom.poly import (GradedPiece, Poly, monomial_count, monomials, phi,
                            power_sum_difference, psi_quotient)
 
@@ -125,3 +128,83 @@ def test_split_xy():
     pairs = dict(p.split_xy())
     assert pairs[(0,)] == Poly.x(n, 1) ** 2
     assert pairs[(2,)] == Poly.const(n, -1)
+
+
+# -- canonical coefficients -------------------------------------------------
+
+def is_canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    n = 3
+    p = Poly(n, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    assert type(p.terms[(0, 1)]) is Fraction
+    assert type(Poly.const(n, Fraction(-6, 3)).terms[(0, 0)]) is int
+    half = Poly.const(n, Fraction(1, 2))
+    for q in (half + half, 2 * half, half * Poly.const(n, 2), -(-2 * half)):
+        assert q == Poly.one(n) and type(q.terms[(0, 0)]) is int
+
+
+def test_inexact_coefficients_raise_type_error():
+    x = Poly.x(2, 1)
+    for bad in (0.5, 0.0, 2.0, 1j, "1", None):
+        with pytest.raises(TypeError):
+            Poly(2, {(1,): bad})
+        with pytest.raises(TypeError):
+            Poly.const(2, bad)
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            x + bad
+
+
+@st.composite
+def mixed_terms(draw):
+    """Terms of a poly in two variables as all-Fraction reference values
+    and as the same values written mixed: an integral value at random as
+    an int or as a Fraction."""
+    ref = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=5))
+    mixed = {m: int(c) if c.denominator == 1 and draw(st.booleans()) else c
+             for m, c in ref.items()}
+    return ref, mixed
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1])
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(mixed_terms(), mixed_terms())
+def test_mixed_arithmetic_matches_the_fraction_reference(a, b):
+    # int == Fraction and their hashes agree, so canonical storage leaves
+    # every equality and hash as all-Fraction storage had them
+    (ref_a, mix_a), (ref_b, mix_b) = a, b
+    pa, pb = Poly(3, mix_a), Poly(3, mix_b)
+    for got, ref in ((pa, {m: c for m, c in ref_a.items() if c}),
+                     (pa + pb, reference_add(ref_a, ref_b)),
+                     (pa - pb, reference_add(
+                         ref_a, {m: -c for m, c in ref_b.items()})),
+                     (pa * pb, reference_mul(ref_a, ref_b))):
+        assert got.terms == ref
+        assert all(is_canonical(c) for c in got.terms.values())
+        assert hash(got) == hash((3, False, frozenset(ref.items())))
