@@ -106,17 +106,15 @@ class Word:
         Yields (choices, resolved word, number of negative choices), with
         choices ordered along singular_positions.
         """
-        sings = self.singular_positions
-        for choice in product((POS, NEG), repeat=len(sings)):
-            entries = list(self.entries)
-            for pos, c in zip(sings, choice):
-                entries[pos] = (entries[pos][0], c)
-            mu = sum(1 for c in choice if c == NEG)
-            yield choice, Word(self.n, tuple(entries)), mu
+        for choice in product((POS, NEG), repeat=len(self.singular_positions)):
+            yield choice, self.resolve(choice), choice.count(NEG)
 
     def resolve(self, choice) -> "Word":
+        """The word with singular letter t resolved to kind choice[t]."""
         sings = self.singular_positions
-        assert len(choice) == len(sings)
+        if len(choice) != len(sings):
+            raise ValueError(f"{len(sings)} singular letters, "
+                             f"{len(choice)} choices")
         entries = list(self.entries)
         for pos, c in zip(sings, choice):
             entries[pos] = (entries[pos][0], c)

@@ -79,7 +79,9 @@ def _verdict(euler, value, N):
     return "mismatch", {}
 
 
-def _document(args, word: Word, N, space, report, elapsed) -> dict:
+def _document(args, word: Word, N, space, report, t0) -> dict:
+    """The result document; timing counts the seconds since t0, the
+    oracle evaluation included."""
     euler = None
     oracle_doc = None
     verdict = None
@@ -107,7 +109,7 @@ def _document(args, word: Word, N, space, report, elapsed) -> dict:
         "euler": euler.json_dict() if euler is not None else None,
         "oracle": oracle_doc,
         "verdict": verdict,
-        "timing": {"seconds": round(elapsed, 3)},
+        "timing": {"seconds": round(time.time() - t0, 3)},
     }
     if detail:
         doc["verdict_detail"] = detail
@@ -143,82 +145,49 @@ def _render(doc: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_homfly(args) -> tuple:
-    word = Word.parse(args.word)
-    t0 = time.time()
-    space, report = homfly_homology(word, window=_window(args),
-                                    simplify=not args.no_simplify)
-    doc = _document(args, word, None, space, report, time.time() - t0)
-    return doc, EXIT_OK
-
-
-def _cmd_sln(args) -> tuple:
-    word = Word.parse(args.word)
-    N = _parse_n_flag(args.N)
+def _pipeline(args, word: Word, N, order):
+    """(space, report) of the pipeline the subcommand runs: the cube for
+    vassiliev and for compare on a singular word, otherwise HOMFLY when
+    N is None and sl(N) when it is finite."""
+    window = _window(args)
+    if args.command == "vassiliev" or (args.command == "compare"
+                                       and word.is_singular):
+        return vassiliev_complex(word, N=N, window=window, order=order)
     if N is None:
-        raise ValueError("sln-homology wants a finite --N")
-    t0 = time.time()
-    space, report = sln_homology(word, N, window=_window(args),
-                                 simplify=not args.no_simplify)
-    doc = _document(args, word, N, space, report, time.time() - t0)
-    return doc, EXIT_OK
+        return homfly_homology(word, window=window,
+                               simplify=not args.no_simplify)
+    return sln_homology(word, N, window=window, simplify=not args.no_simplify)
 
 
-def _cmd_vassiliev(args) -> tuple:
+def _cmd_homology(args) -> tuple:
+    """homfly-homology, sln-homology, vassiliev and compare."""
     word = Word.parse(args.word)
-    N = _parse_n_flag(args.N)
-    order = None
-    if args.order is not None:
-        order = [int(t) for t in args.order.split(",") if t != ""]
+    N = _parse_n_flag(getattr(args, "N", None))
+    if N is None and args.command == "sln-homology":
+        raise ValueError("sln-homology wants a finite --N")
+    order = getattr(args, "order", None)
+    if order is not None:
+        order = [int(t) for t in order.split(",") if t != ""]
     t0 = time.time()
-    space, report = vassiliev_complex(word, N=N, window=_window(args),
-                                      order=order)
-    doc = _document(args, word, N, space, report, time.time() - t0)
+    space, report = _pipeline(args, word, N, order)
+    doc = _document(args, word, N, space, report, t0)
     if order is not None:
         doc["input"]["order"] = order
+    if args.command == "compare" and doc["verdict"] != "match":
+        return doc, EXIT_MISMATCH
     return doc, EXIT_OK
 
 
 def _cmd_oracle(args) -> tuple:
     word = Word.parse(args.word)
     N = _parse_n_flag(args.N)
-    t0 = time.time()
-    value = _oracle_value(word)
-    doc = {
-        "input": {"word": str(word), "n": word.n,
-                  "N": "inf" if N is None else N},
-        "conventions": conventions_block(N),
-        "table": [],
-        "euler": None,
-        "oracle": _oracle_json(value),
-        "verdict": None,
-        "timing": {"seconds": round(time.time() - t0, 3)},
-    }
-    if N is not None and value.is_polynomial:
-        doc["oracle"]["specialized"] = oracle_specialized(value, N).json_dict()
+    doc = _document(args, word, N, None, None, time.time())
     if args.seed is not None and not word.is_singular:
         ok = oracle_self_test(word, seed=args.seed)
         doc["self_test"] = {"seed": args.seed, "passed": bool(ok)}
         if not ok:
             return doc, EXIT_INVARIANT
     return doc, EXIT_OK
-
-
-def _cmd_compare(args) -> tuple:
-    word = Word.parse(args.word)
-    N = _parse_n_flag(args.N)
-    t0 = time.time()
-    if word.is_singular:
-        space, report = vassiliev_complex(word, N=N, window=_window(args))
-    elif N is None:
-        space, report = homfly_homology(word, window=_window(args),
-                                        simplify=not args.no_simplify)
-    else:
-        space, report = sln_homology(word, N, window=_window(args),
-                                     simplify=not args.no_simplify)
-    doc = _document(args, word, N, space, report, time.time() - t0)
-    code = EXIT_OK if doc["verdict"] == "match" else EXIT_MISMATCH
-    return doc, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,19 +198,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "and an independent skein oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_flag=False, order_flag=False, seed_flag=False):
+    def add(name, text, func=_cmd_homology, window=True, simplify=False,
+            n_flag=True, order_flag=False, seed_flag=False):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("word", help='braid word, e.g. "2: 1 1 1" '
                                     '(singular letters as "1!")')
-        p.add_argument("--max-degree", type=int, default=60,
-                       help="internal-degree scan ceiling (default 60)")
-        p.add_argument("--stabilization-margin", type=int, default=6,
-                       help="trailing empty degrees demanded before the "
-                            "scan stops (default 6)")
-        p.add_argument("--no-simplify", action="store_true",
-                       help="skip column-level elimination (cube runs "
-                            "are always raw)")
         p.add_argument("--format", choices=("json", "text"),
                        default="text", help="output format")
+        if window:
+            p.add_argument("--max-degree", type=int, default=60,
+                           help="internal-degree scan ceiling (default 60)")
+            p.add_argument("--stabilization-margin", type=int, default=6,
+                           help="trailing empty degrees demanded before "
+                                "the scan stops (default 6)")
+        if simplify:
+            p.add_argument("--no-simplify", action="store_true",
+                           help="skip column-level elimination (cube runs "
+                                "are always raw)")
         if n_flag:
             p.add_argument("--N", default=None,
                            help="specialization level (integer, or 'inf')")
@@ -254,32 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run the randomized Markov self-test "
                                 "with this seed")
 
-    p = sub.add_parser("homfly-homology",
-                       help="triply graded homology of a braid closure")
-    common(p)
-    p.set_defaults(func=_cmd_homfly)
-
-    p = sub.add_parser("sln-homology",
-                       help="sl(N) homology of a braid closure")
-    common(p, n_flag=True)
-    p.set_defaults(func=_cmd_sln)
-
-    p = sub.add_parser("vassiliev",
-                       help="cube homology of a singular braid word")
-    common(p, n_flag=True, order_flag=True)
-    p.set_defaults(func=_cmd_vassiliev)
-
-    p = sub.add_parser("oracle",
-                       help="skein oracle value (alternating sum on "
-                            "singular words)")
-    common(p, n_flag=True, seed_flag=True)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("compare",
-                       help="run pipeline and oracle, exit 0 on exact "
-                            "Euler match")
-    common(p, n_flag=True)
-    p.set_defaults(func=_cmd_compare)
+    add("homfly-homology", "triply graded homology of a braid closure",
+        simplify=True, n_flag=False)
+    add("sln-homology", "sl(N) homology of a braid closure", simplify=True)
+    add("vassiliev", "cube homology of a singular braid word",
+        order_flag=True)
+    add("oracle", "skein oracle value (alternating sum on singular words)",
+        func=_cmd_oracle, window=False, seed_flag=True)
+    add("compare", "run pipeline and oracle, exit 0 on exact Euler match",
+        simplify=True)
     return parser
 
 

@@ -15,11 +15,10 @@ map is the wall-crossing morphism computed in wallcross.py.
 from __future__ import annotations
 
 from .bimodule import (Bimodule, BimoduleMap, aux_bimodules,
-                       identity_bimodule, identity_map, mat_clean, mat_eq,
-                       mat_mul, merge_projection, split_inclusion)
+                       identity_bimodule, identity_map, mat_eq, mat_mul,
+                       merge_projection, split_inclusion)
 from .braid import POS, Word
-from .poly import Poly
-from .rational import quotient
+from .linalg import InvariantError
 
 
 def bimodule_sum(parts):
@@ -51,8 +50,10 @@ class BComplex:
         self.objs = dict(objs)
         self.diffs = {k: d for k, d in diffs.items() if not d.is_zero}
         for k, d in self.diffs.items():
-            assert d.src.gens == self.objs[k].gens
-            assert d.tgt.gens == self.objs[k + 1].gens
+            if (d.src.gens != self.objs[k].gens
+                    or d.tgt.gens != self.objs[k + 1].gens):
+                raise InvariantError(
+                    f"differential at {k} does not match its terms")
 
     @classmethod
     def identity(cls, n: int) -> "BComplex":
@@ -61,9 +62,6 @@ class BComplex:
     @property
     def degrees(self):
         return sorted(self.objs)
-
-    def obj(self, k: int) -> Bimodule:
-        return self.objs[k]
 
     def diff_mat(self, k: int):
         d = self.diffs.get(k)
@@ -85,10 +83,13 @@ class BComplex:
         return BComplex(self.n, objs, diffs)
 
     def check(self, deep: bool = False):
+        """Degree-0 differentials, d^2 = 0; InvariantError if not."""
         for k, d in self.diffs.items():
-            assert d.degree in (None, 0), f"differential at {k} has degree {d.degree}"
-            if k + 1 in self.diffs:
-                assert (self.diffs[k + 1] @ d).is_zero, f"d^2 != 0 at {k}"
+            if d.degree not in (None, 0):
+                raise InvariantError(
+                    f"differential at {k} has degree {d.degree}")
+            if k + 1 in self.diffs and not (self.diffs[k + 1] @ d).is_zero:
+                raise InvariantError(f"d^2 != 0 at {k}")
         if deep:
             for m in self.objs.values():
                 m.check()
@@ -168,12 +169,17 @@ class ChainMap:
         return f.mat if f is not None else {}
 
     def check(self):
+        """Commuting squares, degree-0 components; InvariantError if not."""
         for k in set(self.src.degrees) | set(self.tgt.degrees):
             lhs = mat_mul(self.comp_mat(k + 1), self.src.diff_mat(k))
             rhs = mat_mul(self.tgt.diff_mat(k), self.comp_mat(k))
-            assert mat_eq(lhs, rhs), f"square at degree {k} does not commute"
+            if not mat_eq(lhs, rhs):
+                raise InvariantError(
+                    f"square at degree {k} does not commute")
         for k, f in self.comps.items():
-            assert f.degree in (None, 0)
+            if f.degree not in (None, 0):
+                raise InvariantError(
+                    f"chain map component at {k} has degree {f.degree}")
             f.check()
 
     def cone(self) -> BComplex:
@@ -285,123 +291,3 @@ def crossing_change_ses(n: int, i: int):
     pi = ChainMap(E, Y1, {-1: -maps["quotient"], 0: maps["evaluation"]})
     return X, E, Y1, iota, pi
 
-
-def gaussian_eliminate(C: BComplex, verify: bool = True) -> BComplex:
-    """Cancel invertible-constant pivots of the differentials.
-
-    Left-module elimination transports the right actions through the
-    homotopy equivalence; the result is only guaranteed to be an honest
-    complex of bimodules if the transported actions still satisfy the
-    axioms, so with verify=True (the default) everything is re-checked
-    and a failure raises instead of returning a broken object.
-    """
-    n = C.n
-    gens = {k: list(m.gens) for k, m in C.objs.items()}
-    actions = {k: [dict(a) for a in m.actions] for k, m in C.objs.items()}
-    diffs = {k: dict(C.diff_mat(k)) for k in C.degrees if C.diff_mat(k)}
-
-    def find_pivot():
-        for k in sorted(diffs):
-            for (r, c) in sorted(diffs[k]):
-                p = diffs[k][(r, c)]
-                if p.degree() == 0:
-                    return k, r, c, p.terms[(0,) * (n - 1)]
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        k, r0, c0, alpha = hit
-        d = diffs[k]
-        row = {c: p for (r, c), p in d.items() if r == r0 and c != c0}
-        col = {r: p for (r, c), p in d.items() if c == c0 and r != r0}
-        inv = Poly.const(n, quotient(1, alpha))
-        # reduced differential at k
-        new_d = {key: p for key, p in d.items()
-                 if key[0] != r0 and key[1] != c0}
-        for r, pr in col.items():
-            for c, pc in row.items():
-                key = (r, c)
-                corr = pr * inv * pc
-                if key in new_d:
-                    s = new_d[key] - corr
-                    if s:
-                        new_d[key] = s
-                    else:
-                        del new_d[key]
-                else:
-                    new_d[key] = -corr
-        # transported right actions: level k via G_k (source correction),
-        # level k+1 via F_(k+1) (target correction)
-        for a in actions[k]:
-            src_corr = {}
-            for (i, j), p in a.items():
-                if j == c0 and i != c0:
-                    for c, pc in row.items():
-                        key = (i, c)
-                        src_corr[key] = src_corr.get(key, Poly.zero(n)) \
-                            - p * inv * pc
-            for key, p in src_corr.items():
-                a[key] = a.get(key, Poly.zero(n)) + p
-        for a in actions[k + 1]:
-            tgt_corr = {}
-            for (i, j), p in a.items():
-                if i == r0 and j != r0:
-                    for r, pr in col.items():
-                        key = (r, j)
-                        tgt_corr[key] = tgt_corr.get(key, Poly.zero(n)) \
-                            - pr * inv * p
-            for key, p in tgt_corr.items():
-                a[key] = a.get(key, Poly.zero(n)) + p
-        # afterwards drop the two generators everywhere
-        def drop(mat, kill_row, kill_col):
-            return {key: p for key, p in mat.items()
-                    if key[0] != kill_row and key[1] != kill_col}
-
-        diffs[k] = drop(new_d, r0, c0)
-        if not diffs[k]:
-            del diffs[k]
-        if k - 1 in diffs:
-            diffs[k - 1] = {key: p for key, p in diffs[k - 1].items()
-                            if key[0] != c0}
-            if not diffs[k - 1]:
-                del diffs[k - 1]
-        if k + 1 in diffs:
-            diffs[k + 1] = {key: p for key, p in diffs[k + 1].items()
-                            if key[1] != r0}
-            if not diffs[k + 1]:
-                del diffs[k + 1]
-        actions[k] = [drop(a, c0, c0) for a in actions[k]]
-        actions[k + 1] = [drop(a, r0, r0) for a in actions[k + 1]]
-        # reindex densely
-        for lvl, dead in ((k, c0), (k + 1, r0)):
-            remap = {}
-            new_gens = []
-            for idx, g in enumerate(gens[lvl]):
-                if idx == dead:
-                    continue
-                remap[idx] = len(new_gens)
-                new_gens.append(g)
-            gens[lvl] = new_gens
-            actions[lvl] = [{(remap[i], remap[j]): p for (i, j), p in a.items()}
-                            for a in actions[lvl]]
-            if lvl in diffs:
-                diffs[lvl] = {(i, remap[j]): p
-                              for (i, j), p in diffs[lvl].items()}
-            if lvl - 1 in diffs:
-                diffs[lvl - 1] = {(remap[i], j): p
-                                  for (i, j), p in diffs[lvl - 1].items()}
-
-    objs = {}
-    for k, gl in gens.items():
-        if gl:
-            objs[k] = Bimodule(n, tuple(gl), [mat_clean(a) for a in actions[k]])
-    out_diffs = {}
-    for k, mat in diffs.items():
-        if k in objs and k + 1 in objs and mat:
-            out_diffs[k] = BimoduleMap(objs[k], objs[k + 1], mat)
-    out = BComplex(n, objs, out_diffs)
-    if verify:
-        out.check(deep=True)
-    return out

@@ -538,11 +538,12 @@ class ColumnData:
     keeps its homology) and the word maps are conjugated onto the
     reduced models.
 
-    Left-module Gaussian elimination of the bimodule complex itself is
-    deliberately NOT applied: its pivots need not respect bimodule
-    summands, and cancelling them moves homology classes along the
-    (k - 1, p - 1) diagonal, which changes the bigraded table even
-    though it preserves the collapsed k - p grading.
+    The bimodule complex itself is deliberately NOT reduced by
+    cancelling constant left-module pivots: such pivots need not respect
+    bimodule summands, and cancelling them moves homology classes along
+    the (k - 1, p - 1) diagonal, which changes the bigraded table even
+    though it preserves the collapsed k - p grading.  Only a pivot that
+    is a bimodule isomorphism could be cancelled there safely.
 
     stage() and induced() recompute on every call; a caller that revisits
     slices keeps their results itself.
@@ -745,9 +746,10 @@ def two_sided_koszul(n: int, top: int) -> DiffObject:
 
 
 def koszul_resolution_check(n: int, j_max: int = 12):
-    """Assert the contraction complex resolves the one-sided ring:
+    """Check the contraction complex resolves the one-sided ring:
     degree-j homology has dim S_j at exterior weight 0 and vanishes at
-    positive weights, for all internal degrees up to j_max."""
+    positive weights, for all internal degrees up to j_max
+    (InvariantError if not)."""
     col = two_sided_koszul(n, n)
     col.check(dh=-1, dq=0)
     dims = slice_homology(ColumnSlices(col, two_sided=True),
@@ -756,5 +758,6 @@ def koszul_resolution_check(n: int, j_max: int = 12):
         for p in range(n):
             got = dims.get((p, j), 0)
             want = GradedPiece(n, j).dim if p == 0 else 0
-            assert got == want, \
-                f"resolution fails at n={n}, p={p}, j={j}: {got} != {want}"
+            if got != want:
+                raise InvariantError(f"resolution fails at n={n}, p={p}, "
+                                     f"j={j}: {got} != {want}")

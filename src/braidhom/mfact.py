@@ -213,7 +213,9 @@ def _class_weights(fs, sigma, k: int, sqs: dict, mats: dict, h: int) -> list:
     inc = {(inv[r], c): v for (r, c), v in mats.get(k - 1, {}).items()}
     out_dim = sqs[k + 1].dim if k + 1 in sqs else 0
     sq2 = kernel_mod_image(sq.dim, out, out_dim, inc)
-    assert sq2.dim == h
+    if sq2.dim != h:
+        raise InvariantError(f"reordered tower at step {k} has {sq2.dim} "
+                             f"classes, not {h}")
     return [weights[order[i]] for i in _leads(sq2)]
 
 

@@ -16,7 +16,7 @@ through the projection, apply the middle column differential, pull the
 result back through the inclusion.  That connecting map W is the
 wall-crossing map from the homology data of the negative resolution to
 the homology data of the positive one.  It commutes with the induced
-word-direction differentials; this is asserted exactly, and a failure
+word-direction differentials; this is checked exactly, and a failure
 is treated as a sign or convention bug, never accepted silently.
 Rescaling the inclusion by 1/c rescales W by c, so the normalization of
 the extension (distinguished generator to distinguished generator with
@@ -28,7 +28,7 @@ negative slots realized by the shifted complex Y[1] so all vertices
 live in one homological window; each edge flips one slot from negative
 to positive and carries the wall-crossing map computed with that slot's
 extension in place, every other slot frozen at its vertex resolution.
-Squares of edge maps commute on the nose (asserted), so sprinkling the
+Squares of edge maps commute on the nose (checked), so sprinkling the
 sign (-1)^{#earlier plus-slots} on the edges and (-1)^{#minus-slots} on
 the internal differentials yields a total differential that squares to
 zero.  The homology of the total complex categorifies the alternating
@@ -68,7 +68,8 @@ from .complexes import (BComplex, ChainMap, crossing_change_ses,
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
                        column_map, grading_shift, scan_bounds, scan_degrees,
                        tower_homology)
-from .linalg import Echelon, mat_vec, matrix_rank, rows_from_entries
+from .linalg import (Echelon, InvariantError, mat_vec, matrix_rank,
+                     rows_from_entries)
 from .poly import monomial_count
 from .rational import exact, quotient
 
@@ -113,9 +114,8 @@ def extension_realization(n: int, i: int, scale=1,
     pi.check()
     degrees = sorted(set(X.degrees) | set(E.degrees) | set(Y1.degrees))
     for k in degrees:
-        comp = mat_mul(pi.comp_mat(k), iota.comp_mat(k))
-        assert not any(p for p in comp.values()), \
-            "projection after inclusion is nonzero"
+        if any(mat_mul(pi.comp_mat(k), iota.comp_mat(k)).values()):
+            raise InvariantError("projection after inclusion is nonzero")
     for k in degrees:
         gens = [C.objs[k].gens if k in C.objs else () for C in (X, Y1, E)]
         for j in range(-4, j_max + 1):
@@ -123,12 +123,14 @@ def extension_realization(n: int, i: int, scale=1,
             dx, dy, de = (sum(monomial_count(n - 1, (j - g) // 2)
                               for g in gs if (j - g) % 2 == 0)
                           for gs in gens)
-            assert de == dx + dy, \
-                f"extension ranks are not exact at step {k}, degree {j}"
+            if de != dx + dy:
+                raise InvariantError(f"extension ranks are not exact at "
+                                     f"step {k}, degree {j}")
     top = iota.comp_mat(-1).get((2, 0))
-    assert top is not None and top.homogeneous_degree() == 0 \
-        and list(top.terms.values()) == [Fraction(1)], \
-        "inclusion does not hit the distinguished generator with coefficient 1"
+    if (top is None or top.homogeneous_degree() != 0
+            or list(top.terms.values()) != [1]):
+        raise InvariantError("inclusion does not hit the distinguished "
+                             "generator with coefficient 1")
     if scale != 1:
         inv = quotient(1, scale)
         iota = ChainMap(X, E, {k: f.scale(inv)
@@ -234,23 +236,23 @@ class _Edge:
 
 
 def _slice_exactness(edge: _Edge, k, sigma):
-    """Assert the tensored sequence stays exact on one column slice."""
+    """Check the tensored sequence stays exact on one column slice;
+    InvariantError if not."""
     key = (k, sigma)
     if key in edge._exact_ok:
         return
     dx = edge.tgt.dim(k, sigma)
     dy = edge.src.dim(k, sigma)
     de = edge.mid.dim(k, sigma)
-    assert de == dx + dy, \
-        f"slice ranks are not exact at step {k}, slice {sigma}"
     pi_m = edge.pi_slice(k, sigma)
     io_m = edge.iota_slice(k, sigma)
-    assert Echelon(rows_from_entries(pi_m, dy), de).rank == dy, \
-        f"projection is not onto at step {k}, slice {sigma}"
-    assert Echelon(rows_from_entries(io_m, de), dx).rank == dx, \
-        f"inclusion is not injective at step {k}, slice {sigma}"
-    assert not mat_mul(pi_m, io_m), \
-        f"projection after inclusion is nonzero at step {k}, slice {sigma}"
+    for failed, what in (
+            (de != dx + dy, "slice ranks are not exact"),
+            (matrix_rank(pi_m, dy, de) != dy, "projection is not onto"),
+            (matrix_rank(io_m, de, dx) != dx, "inclusion is not injective"),
+            (mat_mul(pi_m, io_m), "projection after inclusion is nonzero")):
+        if failed:
+            raise InvariantError(f"{what} at step {k}, slice {sigma}")
     edge._exact_ok.add(key)
 
 
@@ -276,17 +278,20 @@ def _edge_snake(edge: _Edge, k, sigma) -> dict:
     out: dict = {}
     for c, rep in enumerate(sq_y.reps):
         b = solver_pi.solve(list(rep))
-        assert b is not None, "projection failed to lift a cycle"
-        v = mat_vec(dcol, b, de2)
-        a = solver_io.solve(v)
-        assert a is not None, "connecting image escapes the inclusion"
+        if b is None:
+            raise InvariantError("projection failed to lift a cycle")
+        a = solver_io.solve(mat_vec(dcol, b, de2))
+        if a is None:
+            raise InvariantError("connecting image escapes the inclusion")
         if sq_x is None:
-            assert not any(a), "connecting image missed the empty slice"
+            if any(a):
+                raise InvariantError(
+                    "connecting image missed the empty slice")
             continue
         try:
             coords = sq_x.express(a)
         except ValueError as e:
-            raise AssertionError(
+            raise InvariantError(
                 "connecting image is not a cycle of the target slice") from e
         for r, val in enumerate(coords):
             if val:
@@ -295,16 +300,17 @@ def _edge_snake(edge: _Edge, k, sigma) -> dict:
 
 
 def _edge_chain_check(edge: _Edge):
-    """Assert W commutes with the induced word-direction differentials
+    """Check W commutes with the induced word-direction differentials
     on every populated slice.  A failure here is a sign or convention
     inconsistency and is never accepted."""
     for k, sigma in edge.src.populated():
         sigma2 = edge.src.next(sigma)
         lhs = mat_mul(edge.w(k + 1, sigma), edge.src.induced_kmap(k, sigma))
         rhs = mat_mul(edge.tgt.induced_kmap(k, sigma2), edge.w(k, sigma))
-        assert lhs == rhs, \
-            ("wall-crossing map does not commute with the induced "
-             f"differentials at step {k}, slice {sigma}")
+        if lhs != rhs:
+            raise InvariantError(
+                "wall-crossing map does not commute with the induced "
+                f"differentials at step {k}, slice {sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +356,11 @@ def _make_edge(word: Word, letters: dict, realizations: dict, slot_of: dict,
     tgt_key = eps[:t] + (POS,) + eps[t + 1:]
     src, tgt = vertices[eps], vertices[tgt_key]
     for k in iota_w.src.degrees:
-        assert iota_w.src.objs[k].gens == tgt.C.objs[k].gens
-        assert pi_w.tgt.objs[k].gens == src.C.objs[k].gens
-        assert iota_w.tgt.objs[k].gens == pi_w.src.objs[k].gens
+        if (iota_w.src.objs[k].gens != tgt.C.objs[k].gens
+                or pi_w.tgt.objs[k].gens != src.C.objs[k].gens
+                or iota_w.tgt.objs[k].gens != pi_w.src.objs[k].gens):
+            raise InvariantError(f"edge {t} terms do not match its "
+                                 f"vertices at step {k}")
     iota_w.check()
     pi_w.check()
     try:
@@ -453,7 +461,7 @@ def _report_grading(word: Word, N, s0: int, eps, k, sigma):
 
 
 def _check_faces(cube: _Cube):
-    """Assert every square of wall-crossing maps commutes before any
+    """Check every square of wall-crossing maps commutes before any
     signs are sprinkled on."""
     s = len(cube.slots)
     for eps in cube.vertices:
@@ -468,9 +476,10 @@ def _check_faces(cube: _Cube):
                 sigma2 = data.next(sigma)
                 lhs = mat_mul(e_tu.w(k, sigma2), e_t.w(k, sigma))
                 rhs = mat_mul(e_ut.w(k, sigma2), e_u.w(k, sigma))
-                assert lhs == rhs, \
-                    (f"cube face ({t},{u}) fails to commute at step {k}, "
-                     f"slice {sigma}")
+                if lhs != rhs:
+                    raise InvariantError(
+                        f"cube face ({t},{u}) fails to commute at step {k}, "
+                        f"slice {sigma}")
 
 
 def _assemble(cube: _Cube, order) -> TriGradedSpace:
@@ -568,7 +577,7 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
     the matrices of W per (word degree, slice) from the homology data of
     the negative resolution to that of the positive one, in stage-one
     coordinates.  The chain-map property and the termwise exactness of
-    the tensored sequence are asserted along the way.
+    the tensored sequence are checked along the way.
     """
     N = None if N is None else check_N(N)
     window = window or DegreeWindow()

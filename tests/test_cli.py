@@ -118,3 +118,27 @@ def test_text_rendering_mentions_the_verdict(capsys):
     code, out = run(capsys, "homfly-homology", "2: 1 1 1")
     assert code == EXIT_OK
     assert "match" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["vassiliev", "2: 1! 1 1", "--no-simplify"],
+    ["oracle", "2: 1 1 1", "--max-degree", "4"],
+    ["oracle", "2: 1 1 1", "--no-simplify"],
+])
+def test_flags_exist_only_where_they_are_read(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_resolve_wants_one_choice_per_singular_letter():
+    from braidhom.braid import NEG, POS, Word
+    word = Word.parse("3: 1! -2 1!")
+    assert str(word.resolve((POS, NEG))) == "3: 1 -2 -1"
+    assert [(c, str(w), mu) for c, w, mu in word.resolutions()] == [
+        ((POS, POS), "3: 1 -2 1", 0), ((POS, NEG), "3: 1 -2 -1", 1),
+        ((NEG, POS), "3: -1 -2 1", 1), ((NEG, NEG), "3: -1 -2 -1", 2)]
+    for choice in ((POS,), (POS, NEG, POS)):
+        with pytest.raises(ValueError, match="2 singular letters"):
+            word.resolve(choice)

@@ -1,8 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from braidhom.bimodule import identity_map
 from braidhom.braid import Word
 from braidhom.complexes import (BComplex, ChainMap, crossing_change_ses,
-                                gaussian_eliminate, negative_crossing_complex,
+                                negative_crossing_complex,
                                 positive_crossing_complex, rouquier_complex,
                                 tensor, tensor_chain_maps)
+from braidhom.homology import ColumnData, DegreeWindow, scan_bounds
+from braidhom.linalg import InvariantError
 
 
 def test_crossing_complexes_are_complexes():
@@ -60,38 +69,16 @@ def test_crossing_change_ses_is_exact_chainwise():
 
 
 def test_cone_of_identity_cancels_completely():
+    # the cone of an identity is contractible: after column elimination
+    # no slice keeps any tower homology
     X = positive_crossing_complex(2, 1)
     cone = ChainMap.identity(X).cone()
-    cone.check()
-    reduced = gaussian_eliminate(cone)
-    assert not reduced.objs
-
-
-def test_reidemeister_two_reduces_to_identity():
-    C = rouquier_complex(Word.parse("2: 1 -1"))
-    reduced = gaussian_eliminate(C)
-    assert list(reduced.objs) == [0]
-    assert reduced.objs[0].gens == (0,)
-    assert not reduced.diffs
-    C2 = rouquier_complex(Word.parse("3: -2 2"))
-    reduced2 = gaussian_eliminate(C2)
-    assert list(reduced2.objs) == [0]
-    assert reduced2.objs[0].gens == (0,)
-
-
-def test_braid_relation_minimal_models_match():
-    lhs = gaussian_eliminate(rouquier_complex(Word.parse("3: 1 2 1")))
-    rhs = gaussian_eliminate(rouquier_complex(Word.parse("3: 2 1 2")))
-    assert lhs.degrees == rhs.degrees
-    for k in lhs.degrees:
-        assert sorted(lhs.objs[k].gens) == sorted(rhs.objs[k].gens)
-
-
-def test_eliminate_preserves_bimodule_axioms():
-    # verification is part of gaussian_eliminate; run it on a mix of words
-    for text in ("2: 1 1", "2: -1 -1", "3: 1 -2", "3: 1 1 2"):
-        reduced = gaussian_eliminate(rouquier_complex(Word.parse(text)))
-        reduced.check(deep=True)
+    cone.check(deep=True)
+    data = ColumnData(cone, None, simplify=True)
+    lo, hi, _q_top = scan_bounds(data.cols.values(),
+                                 DegreeWindow(max_degree=12))
+    sigmas = [s for j in range(lo, hi + 1) for s in data.sigmas(j)]
+    assert sigmas and all(not data.tower(s)[2] for s in sigmas)
 
 
 def test_tensor_chain_maps_keeps_commuting():
@@ -106,3 +93,40 @@ def test_tensor_chain_maps_keeps_commuting():
     for k in big_iota.src.degrees:
         if k in big_pi.comps and k in big_iota.comps:
             assert (big_pi.comps[k] @ big_iota.comps[k]).is_zero
+
+
+# -- the checks raise InvariantError, also under python -O -------------------
+
+def test_failed_complex_checks_raise_invariant_error():
+    X = positive_crossing_complex(2, 1)
+    d = X.diffs[-1]
+    with pytest.raises(InvariantError, match="does not match"):
+        BComplex(2, {-1: d.tgt, 0: d.tgt}, {-1: d})
+    one = identity_map(d.tgt)
+    with pytest.raises(InvariantError, match="d\\^2"):
+        BComplex(2, {0: d.tgt, 1: d.tgt, 2: d.tgt}, {0: one, 1: one}).check()
+    with pytest.raises(InvariantError, match="does not commute"):
+        ChainMap(X, X, {0: identity_map(X.objs[0])}).check()
+
+
+OPTIMIZED_CHAIN_MAP = """
+from braidhom.bimodule import identity_map
+from braidhom.complexes import ChainMap, positive_crossing_complex
+from braidhom.linalg import InvariantError
+assert False, "asserts must be stripped"
+X = positive_crossing_complex(2, 1)
+try:
+    ChainMap(X, X, {0: identity_map(X.objs[0])}).check()
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_chain_map_check_survives_python_O():
+    # the identity in degree 0 alone: d then f is d, f then d is zero
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHAIN_MAP],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.startswith("raised: square at degree -1 does not "
+                                  "commute"), done.stdout + done.stderr

@@ -9,9 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from braidhom.bimodule import Bimodule, BimoduleMap
 from braidhom.braid import Word
-from braidhom.complexes import BComplex, gaussian_eliminate
 from braidhom.diffobj import DiffObject
 from braidhom.poly import Poly
 from braidhom.wallcross import extension_realization, wall_crossing_map
@@ -71,24 +69,6 @@ def test_elimination_with_pivot_two_makes_halves():
     assert F[(0, 0)] == Fraction(-1, 2) * x and G[(1, 1)] == Fraction(-1, 2) * x
     found = coefficients([red.diff, F, G])
     assert Fraction(-1, 2) in found
-    assert all(type(c) in (int, Fraction) for c in found)
-
-
-def test_gaussian_elimination_with_pivot_two_makes_halves():
-    n = 2
-    x1, x2 = Poly.x(n, 1), Poly.x(n, 2)
-
-    def free(gens):
-        return Bimodule(n, gens, [{(a, a): x for a in range(len(gens))}
-                                  for x in (x1, x2)])
-
-    src, tgt = free((0, 2)), free((0, -2))
-    d = BimoduleMap(src, tgt, {(0, 0): Poly.const(n, 2), (1, 0): x1,
-                               (0, 1): x1})
-    out = gaussian_eliminate(BComplex(n, {0: src, 1: tgt}, {0: d}))
-    assert out.diff_mat(0) == {(0, 0): Fraction(-1, 2) * x1 * x1}
-    found = coefficients([out.diff_mat(0)] + list(out.objs[0].actions)
-                         + list(out.objs[1].actions))
     assert all(type(c) in (int, Fraction) for c in found)
 
 

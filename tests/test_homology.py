@@ -15,6 +15,7 @@ from braidhom.homology import (DegreeWindow, TriGradedSpace,
                                homfly_homology, koszul_resolution_check,
                                tower_homology)
 from braidhom.linalg import InvariantError
+from braidhom.mfact import sln_homology
 from braidhom.oracle import homfly_oracle
 
 ORIGIN = [[0, 0, 0, 1]]
@@ -70,9 +71,24 @@ def test_cinquefoil_table_and_euler():
     assert euler_matches_trace("2: 1 1 1 1 1")
 
 
-def test_gaussian_elimination_does_not_change_homology():
+def test_column_elimination_does_not_change_homology():
     for text in ["2: 1 1 1", "2: 1 -1 1", "3: 1 2"]:
         assert table(text, simplify=False) == table(text), text
+
+
+def test_reidemeister_two_leaves_the_table_unchanged():
+    # sigma sigma^-1 inserted at three places of the trefoil word
+    base = table("2: 1 1 1")
+    for text in ["2: 1 1 1 1 -1", "2: 1 -1 1 1 1", "2: -1 1 1 1 1"]:
+        assert table(text) == base, text
+    sl2 = [sln_homology(Word.parse(text), 2)[0].table()
+           for text in ("2: 1 1 1", "2: 1 1 1 1 -1")]
+    assert sl2[0] and sl2[1] == sl2[0]
+
+
+def test_braid_relation_leaves_the_table_unchanged():
+    # 1 2 1 2 = 2 1 2 2 by the braid relation; both close to the trefoil
+    assert table("3: 1 2 1 2") == table("3: 2 1 2 2") == TREFOIL
 
 
 def test_stabilization_and_conjugation_invariance():

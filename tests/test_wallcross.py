@@ -4,10 +4,14 @@ import hashlib
 import json
 from fractions import Fraction
 
+import pytest
+
 from braidhom.braid import Word
+from braidhom.complexes import ChainMap, crossing_change_ses
 from braidhom.conventions import homology_euler_as_skein, match_exact
 from braidhom.homology import DegreeWindow
 from braidhom.laurent import Laurent2
+from braidhom.linalg import InvariantError
 from braidhom.oracle import vassiliev_oracle
 from braidhom.wallcross import (extension_realization,
                                 finite_dimensionality_check,
@@ -61,6 +65,27 @@ def test_extension_scale_must_be_nonzero():
         assert False, "expected a zero scale to raise"
     except ValueError:
         pass
+
+
+def test_extension_checks_raise_invariant_error(monkeypatch):
+    # an inclusion doubled before the checks breaks its normalization,
+    # and one doubled only in degree 0 breaks the chain-map square
+    from braidhom import wallcross
+
+    def doubled(degrees):
+        def ses(n, i):
+            X, E, Y1, iota, pi = crossing_change_ses(n, i)
+            comps = {k: f.scale(2) if k in degrees else f
+                     for k, f in iota.comps.items()}
+            return X, E, Y1, ChainMap(X, E, comps), pi
+        return ses
+
+    monkeypatch.setattr(wallcross, "crossing_change_ses", doubled({-1, 0}))
+    with pytest.raises(InvariantError, match="coefficient 1"):
+        extension_realization(2, 1)
+    monkeypatch.setattr(wallcross, "crossing_change_ses", doubled({0}))
+    with pytest.raises(InvariantError, match="does not commute"):
+        extension_realization(2, 1)
 
 
 # -- the connecting map ------------------------------------------------------
