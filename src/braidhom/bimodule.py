@@ -195,8 +195,9 @@ class BimoduleMap:
             d = p.homogeneous_degree() - src.gens[b] + tgt.gens[a]
             if deg is None:
                 deg = d
-            else:
-                assert deg == d, f"mixed degrees {deg} vs {d} at {(a, b)}"
+            elif deg != d:
+                raise InvariantError(
+                    f"mixed degrees {deg} vs {d} at {(a, b)}")
         self.degree = deg
 
     @property
@@ -218,30 +219,6 @@ class BimoduleMap:
         return BimoduleMap(self.src, self.tgt,
                            mat_scale(Poly.const(self.src.n, c), self.mat))
 
-    def tensor(self, other: "BimoduleMap", src: Bimodule = None,
-               tgt: Bimodule = None) -> "BimoduleMap":
-        """f (x) g on the tensor bimodules (no Koszul signs here).
-
-        Scalars of g's entries pass through the target of f from the
-        right.  src/tgt may be passed in to reuse already-built tensor
-        bimodules; otherwise they are constructed.
-        """
-        f, g = self, other
-        src = src or f.src.tensor(g.src)
-        tgt = tgt or f.tgt.tensor(g.tgt)
-        ro_s, ro_t = g.src.rank, g.tgt.rank
-        mat: Mat = {}
-        for (bp, b), p in g.mat.items():
-            push = f.tgt.right_mult_matrix(p)  # rank_tgt x rank_tgt
-            blk = mat_mul(push, f.mat)         # tgt_f x src_f
-            for (ap, a), q in blk.items():
-                key = (ap * ro_t + bp, a * ro_s + b)
-                if key in mat:
-                    mat[key] = mat[key] + q
-                else:
-                    mat[key] = q
-        return BimoduleMap(src, tgt, mat)
-
     def check(self):
         """Check the map intertwines all right actions; InvariantError if
         not."""
@@ -254,6 +231,23 @@ class BimoduleMap:
     def __repr__(self):
         return (f"BimoduleMap({self.src.rank}->{self.tgt.rank}, "
                 f"degree={self.degree})")
+
+
+def tensor_mat(f: BimoduleMap, g: BimoduleMap) -> Mat:
+    """Matrix of f (x) g on the tensor bimodules, left factor major (no
+    Koszul signs here).  Scalars of g's entries pass through the target
+    of f from the right."""
+    ro_s, ro_t = g.src.rank, g.tgt.rank
+    mat: Mat = {}
+    for (bp, b), p in g.mat.items():
+        push = f.tgt.right_mult_matrix(p)  # rank_tgt x rank_tgt
+        for (ap, a), q in mat_mul(push, f.mat).items():
+            key = (ap * ro_t + bp, a * ro_s + b)
+            if key in mat:
+                mat[key] = mat[key] + q
+            else:
+                mat[key] = q
+    return mat_clean(mat)
 
 
 def identity_map(m: Bimodule) -> BimoduleMap:
@@ -423,8 +417,9 @@ def graded_map_entries(mat: Mat, src: GradedFreeBasis,
         if sp.dim == 0:
             continue
         need = (tgt.j - tgt.gens[a]) - (src.j - src.gens[b])
-        assert p.homogeneous_degree() == need, \
-            f"entry {(a, b)} has degree {p.homogeneous_degree()}, needs {need}"
+        if p.homogeneous_degree() != need:
+            raise InvariantError(f"entry {(a, b)} has degree "
+                                 f"{p.homogeneous_degree()}, needs {need}")
         if tp.dim == 0:
             continue
         ro, co = tgt.offsets[a], src.offsets[b]

@@ -221,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="specialization level (integer, or 'inf')")
         if order_flag:
             p.add_argument("--order", default=None,
-                           help="cone order as comma-separated singular "
-                                "slot indices, e.g. 1,0")
+                           help="singular slot order as comma-separated "
+                                "indices, e.g. 1,0; validated and echoed, "
+                                "it does not enter the differential")
         if seed_flag:
             p.add_argument("--seed", type=int, default=None,
                            help="run the randomized Markov self-test "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .bimodule import (Bimodule, BimoduleMap, aux_bimodules,
                        identity_bimodule, identity_map, mat_eq, mat_mul,
-                       merge_projection, split_inclusion)
+                       merge_projection, split_inclusion, tensor_mat)
 from .braid import POS, Word
 from .linalg import InvariantError
 
@@ -132,18 +132,15 @@ def tensor(X: BComplex, Y: BComplex) -> BComplex:
             # horizontal: d_X (x) id
             if (a + 1, b) in tgt_off and a in X.diffs:
                 to = tgt_off[(a + 1, b)]
-                blk = X.diffs[a].tensor(identity_map(Y.objs[b]),
-                                        src=pairs[(a, b)], tgt=pairs[(a + 1, b)])
-                for (r, c), p in blk.mat.items():
+                blk = tensor_mat(X.diffs[a], identity_map(Y.objs[b]))
+                for (r, c), p in blk.items():
                     mat[(to + r, so + c)] = p
             # vertical: (-1)^a id (x) d_Y
             if (a, b + 1) in tgt_off and b in Y.diffs:
                 to = tgt_off[(a, b + 1)]
-                blk = identity_map(X.objs[a]).tensor(Y.diffs[b],
-                                                     src=pairs[(a, b)],
-                                                     tgt=pairs[(a, b + 1)])
+                blk = tensor_mat(identity_map(X.objs[a]), Y.diffs[b])
                 sign = -1 if a % 2 else 1
-                for (r, c), p in blk.mat.items():
+                for (r, c), p in blk.items():
                     mat[(to + r, so + c)] = p if sign == 1 else -p
         d = BimoduleMap(objs[m], objs[m + 1], mat)
         if not d.is_zero:
@@ -218,30 +215,29 @@ class ChainMap:
         return BComplex(X.n, objs, diffs)
 
 
-def tensor_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g termwise; sources and targets must live in the same degrees
-    so the summand enumeration of tensor() matches on both sides."""
+def tensor_chain_maps(f: ChainMap, g: ChainMap, src: BComplex,
+                      tgt: BComplex) -> ChainMap:
+    """f (x) g termwise, from src = tensor(f.src, g.src) to tgt =
+    tensor(f.tgt, g.tgt), which the caller has built.  Sources and
+    targets must live in the same degrees so the summand enumeration of
+    tensor() matches on both sides."""
     assert f.src.degrees == f.tgt.degrees
     assert g.src.degrees == g.tgt.degrees
-    src = tensor(f.src, g.src)
-    tgt = tensor(f.tgt, g.tgt)
     comps = {}
     for m in src.degrees:
-        keys = sorted((a, m - a) for a in f.src.degrees
-                      if m - a in g.src.degrees)
         mat = {}
         soff = toff = 0
-        for (a, b) in keys:
-            fs = f.src.objs[a].tensor(g.src.objs[b])
-            ts = f.tgt.objs[a].tensor(g.tgt.objs[b])
-            fa = f.comps.get(a)
-            gb = g.comps.get(b)
+        for a in f.src.degrees:
+            b = m - a
+            if b not in g.src.objs:
+                continue
+            fa, gb = f.comps.get(a), g.comps.get(b)
             if fa is not None and gb is not None:
-                blk = fa.tensor(gb, src=fs, tgt=ts)
-                for (r, c), p in blk.mat.items():
+                for (r, c), p in tensor_mat(fa, gb).items():
                     mat[(toff + r, soff + c)] = p
-            soff += fs.rank
-            toff += ts.rank
+            soff += f.src.objs[a].rank * g.src.objs[b].rank
+            toff += f.tgt.objs[a].rank * g.tgt.objs[b].rank
+        assert (soff, toff) == (src.objs[m].rank, tgt.objs[m].rank)
         F = BimoduleMap(src.objs[m], tgt.objs[m], mat)
         if not F.is_zero:
             comps[m] = F

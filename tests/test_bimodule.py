@@ -9,8 +9,8 @@ import pytest
 from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
                                aux_bimodules, bs_bimodule, extension_bimodule,
                                graded_map_entries, identity_bimodule,
-                               identity_map, mat_eq, merge_projection,
-                               split_inclusion)
+                               identity_map, mat_eq, mat_mul,
+                               merge_projection, split_inclusion, tensor_mat)
 from braidhom.diffobj import DiffObject
 from braidhom.linalg import InvariantError, matrix_rank
 from braidhom.mfact import MatrixFactorization
@@ -122,13 +122,13 @@ def test_map_tensor_functorial():
     mu = BimoduleMap(B, S, {(0, 0): Poly.one(n), (0, 1): Poly.x(n, i + 1)})
     idB = identity_map(B)
     # (mu (x) id) after (iota (x) id) == (mu iota) (x) id
-    lhs = mu.tensor(idB) @ iota.tensor(idB)
-    rhs = (mu @ iota).tensor(idB)
-    assert mat_eq(lhs.mat, rhs.mat)
+    lhs = mat_mul(tensor_mat(mu, idB), tensor_mat(iota, idB))
+    rhs = tensor_mat(mu @ iota, idB)
+    assert mat_eq(lhs, rhs)
     # identity tensor identity is the identity
-    both = identity_map(S).tensor(idB)
-    assert mat_eq(both.mat, identity_map(S.tensor(B)).mat)
-    lhs.check()
+    both = tensor_mat(identity_map(S), idB)
+    assert mat_eq(both, identity_map(S.tensor(B)).mat)
+    BimoduleMap(S.tensor(B), S.tensor(B), lhs).check()
 
 
 def test_two_sided_action_consistency():
@@ -183,6 +183,15 @@ def test_failed_checks_raise_invariant_error():
         BimoduleMap(B, B, {(0, 0): Poly.one(2)}).check()
     with pytest.raises(InvariantError, match="sum to zero"):
         Bimodule(2, B.gens, [B.action(1), B.action(1)]).check()
+    # 1 and x_1 cannot both be images of one homogeneous map
+    with pytest.raises(InvariantError, match="mixed degrees"):
+        BimoduleMap(B, B, {(0, 0): Poly.one(2), (1, 1): Poly.x(2, 1)})
+    # from degree 6 of S to degree 6 of S_1 the e_0 entry needs degree 1;
+    # x_1 has degree 2
+    with pytest.raises(InvariantError, match="degree 2, needs 1"):
+        graded_map_entries({(0, 0): Poly.x(2, 1)},
+                           GradedFreeBasis(2, (0,), 6),
+                           GradedFreeBasis(2, B.gens, 6))
     x = Poly.x(2, 1)
     with pytest.raises(InvariantError, match="d\\^2"):
         DiffObject(2, [(0, 4), (0, 2), (0, 0)],
@@ -216,11 +225,41 @@ except InvariantError as e:
 """
 
 
-def test_intertwining_check_survives_python_O():
+def run_optimized(code: str) -> str:
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c",
-                           OPTIMIZED_INTERTWINING],
+    done = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
-    assert done.stdout.startswith("raised: does not intertwine"), \
-        done.stdout + done.stderr
+    return done.stdout + done.stderr
+
+
+def test_intertwining_check_survives_python_O():
+    out = run_optimized(OPTIMIZED_INTERTWINING)
+    assert out.startswith("raised: does not intertwine"), out
+
+
+OPTIMIZED_HOMOGENEITY = """
+from braidhom.bimodule import (BimoduleMap, GradedFreeBasis, bs_bimodule,
+                               graded_map_entries)
+from braidhom.linalg import InvariantError
+from braidhom.poly import Poly
+assert False, "asserts must be stripped"
+B = bs_bimodule(2, 1)
+for build in (lambda: BimoduleMap(B, B, {(0, 0): Poly.one(2),
+                                         (1, 1): Poly.x(2, 1)}),
+              lambda: graded_map_entries({(0, 0): Poly.x(2, 1)},
+                                         GradedFreeBasis(2, (0,), 6),
+                                         GradedFreeBasis(2, B.gens, 6))):
+    try:
+        build()
+    except InvariantError as e:
+        print("raised:", e)
+"""
+
+
+def test_homogeneity_checks_survive_python_O():
+    # a map mixing degrees 0 and 2, and an entry of degree 2 where the
+    # two slices need 1
+    out = run_optimized(OPTIMIZED_HOMOGENEITY)
+    assert out.startswith("raised: mixed degrees 0 vs 2 at (1, 1)\n"
+                          "raised: entry (0, 0) has degree 2, needs 1"), out

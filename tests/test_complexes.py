@@ -86,13 +86,15 @@ def test_tensor_chain_maps_keeps_commuting():
     X, E, Y1, iota, pi = crossing_change_ses(n, i)
     other = positive_crossing_complex(n, i)
     idc = ChainMap.identity(other)
-    big_iota = tensor_chain_maps(iota, idc)
-    big_pi = tensor_chain_maps(pi, idc)
+    XL, EL, YL = (tensor(C, other) for C in (X, E, Y1))
+    big_iota = tensor_chain_maps(iota, idc, XL, EL)
+    big_pi = tensor_chain_maps(pi, idc, EL, YL)
+    assert big_iota.src is XL and big_pi.src is big_iota.tgt
     big_iota.check()
     big_pi.check()
-    for k in big_iota.src.degrees:
-        if k in big_pi.comps and k in big_iota.comps:
-            assert (big_pi.comps[k] @ big_iota.comps[k]).is_zero
+    for k in XL.degrees:
+        assert k in big_pi.comps and k in big_iota.comps
+        assert (big_pi.comps[k] @ big_iota.comps[k]).is_zero
 
 
 # -- the checks raise InvariantError, also under python -O -------------------

@@ -1,15 +1,19 @@
 """Crossing-change connecting maps and resolution-cube homology."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from braidhom import complexes, wallcross
 from braidhom.braid import Word
+from braidhom.cli import EXIT_OK, main
 from braidhom.complexes import ChainMap, crossing_change_ses
 from braidhom.conventions import homology_euler_as_skein, match_exact
-from braidhom.homology import DegreeWindow
+from braidhom.homology import ColumnSlices, DegreeWindow
 from braidhom.laurent import Laurent2
 from braidhom.linalg import InvariantError
 from braidhom.oracle import vassiliev_oracle
@@ -70,8 +74,6 @@ def test_extension_scale_must_be_nonzero():
 def test_extension_checks_raise_invariant_error(monkeypatch):
     # an inclusion doubled before the checks breaks its normalization,
     # and one doubled only in degree 0 breaks the chain-map square
-    from braidhom import wallcross
-
     def doubled(degrees):
         def ses(n, i):
             X, E, Y1, iota, pi = crossing_change_ses(n, i)
@@ -122,6 +124,24 @@ def test_connecting_map_chain_property_on_longer_words():
         assert wmap["rank"] > 0, text
 
 
+@pytest.mark.parametrize("half, message", [
+    ("pi_cols", "projection is not onto"),
+    ("iota_cols", "inclusion is not injective")])
+def test_slice_exactness_catches_a_broken_edge(monkeypatch, half, message):
+    # the zero map is a chain map, so only the slice checks can see an
+    # edge whose projection or inclusion was zeroed after it was built
+    real = wallcross._make_edge
+
+    def broken(*args):
+        edge = real(*args)
+        setattr(edge, half, {k: {} for k in getattr(edge, half)})
+        return edge
+
+    monkeypatch.setattr(wallcross, "_make_edge", broken)
+    with pytest.raises(InvariantError, match=message):
+        wall_crossing_map(Word.parse("2: 1!"))
+
+
 def test_connecting_map_wants_exactly_one_singular_letter():
     for text in ["2: 1 1 1", "2: 1! 1! 1"]:
         try:
@@ -161,6 +181,93 @@ def test_extension_rescaling_does_not_change_the_answer():
     base = cone_table("2: 1! 1! 1")
     assert cone_table("2: 1! 1! 1", scales={0: 7}) == base
     assert cone_table("2: 1! 1! 1", scales={1: Fraction(1, 3)}) == base
+
+
+def test_three_strand_faces_anticommute(capsys):
+    # the two paths around a face apply odd maps to different tensor
+    # factors in opposite orders, so faces anticommute and the edges
+    # carry no sign; the table is empty, as the oracle's zero demands
+    code = main(["vassiliev", "3: 1! 2!", "--format", "json"])
+    out = capsys.readouterr()
+    assert code == EXIT_OK, out.err
+    doc = json.loads(out.out)
+    assert doc["verdict"] == "match" and doc["table"] == []
+    space, report = vassiliev_complex(
+        Word.parse("3: 1! 2!"), order=[1, 0],
+        scales={0: 7, 1: Fraction(-1, 3)})
+    assert report["stabilized"] and report["order"] == [1, 0]
+    assert space.table() == []
+
+
+def test_cube_tensors_each_pair_of_complexes_once(monkeypatch):
+    # vertices share letter prefixes and each edge folds its maps onto
+    # its vertices' own complexes, so no pair is tensored twice
+    real = complexes.tensor
+    seen = []
+
+    def counting(X, Y):
+        seen.append((X, Y))  # keeps both alive, so ids stay distinct
+        return real(X, Y)
+
+    monkeypatch.setattr(complexes, "tensor", counting)
+    monkeypatch.setattr(wallcross, "tensor", counting)
+    vassiliev_complex(Word.parse("2: 1! 1! 1"))
+    pairs = [(id(X), id(Y)) for X, Y in seen]
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
+def test_cube_builds_each_edge_slice_block_once(monkeypatch):
+    # one step per edge slice builds its projection and inclusion blocks
+    # for the exactness checks and the snake alike
+    real = ColumnSlices.cross
+    seen = []
+
+    def counting(self, mat, other, sigma):
+        seen.append((self, mat, other, sigma))
+        return real(self, mat, other, sigma)
+
+    monkeypatch.setattr(ColumnSlices, "cross", counting)
+    vassiliev_complex(Word.parse("2: 1! 1! 1"))
+    keys = [(id(a), id(m), id(b), sigma) for a, m, b, sigma in seen]
+    assert keys and len(set(keys)) == len(keys)
+
+
+def _cube_words() -> list:
+    """Words with one or two singular letters whose resolutions all
+    close to knots: two strands with one or three letters, three strands
+    with one letter on each crossing."""
+    words = []
+    for n, shape in [(2, (1,)), (2, (1, 1, 1)), (3, (1, 2)), (3, (2, 1))]:
+        for kinds in itertools.product(("", "-", "!"), repeat=len(shape)):
+            if 1 <= kinds.count("!") <= 2:
+                letters = [f"-{i}" if k == "-" else f"{i}{k}"
+                           for i, k in zip(shape, kinds)]
+                words.append(f"{n}: " + " ".join(letters))
+    return words
+
+
+CUBE_WORDS = _cube_words()
+
+
+# no shrink phase: every drawn word is already small, and shrinking
+# rebuilds cubes for minutes before a failure is reported
+@settings(derandomize=True, max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.sampled_from(CUBE_WORDS),
+       st.lists(st.fractions(-5, 5, max_denominator=4).filter(bool),
+                min_size=2, max_size=2))
+def test_cube_euler_and_invariance_property(text, scales):
+    word = Word.parse(text)
+    assert all(res.is_knot_closure for _c, res, _m in word.resolutions())
+    space, report = vassiliev_complex(word)
+    assert report["stabilized"], text
+    assert match_exact(homology_euler_as_skein(space),
+                       vassiliev_oracle(word).poly), text
+    s = len(word.singular_positions)
+    other, _report = vassiliev_complex(
+        word, order=list(reversed(range(s))),
+        scales=dict(enumerate(scales[:s])))
+    assert other.table() == space.table(), text
 
 
 def test_cube_input_validation():
