@@ -36,19 +36,18 @@ induced_matrix pushes classes for stage two, tower_homology takes the
 word-direction homology, ColumnData holds the columns of one word
 complex, and scan_degrees runs the degree scan.
 
-A slice with no differential in or out (after simplify, every slice of
-a contraction column) is a whole-space subquotient: its classes are the
-standard basis and expressing a vector is the identity, so stage one
-factors nothing.  A slice with only an incoming differential is a
-quotient space: its classes are standard vectors too, and expressing a
-vector reduces it against the boundaries.  Stage two pushes sparsely,
-column by column of the slice matrix; between two whole spaces the
-induced map is the slice matrix itself, and the solver runs only where
-a target slice has an outgoing differential.  Coefficients are ints or
-Fractions: the polynomial data is canonical (rational.py: an int when
-integral), so slices start out integer and Fractions come only from
-divisions.  Failed internal checks raise linalg.InvariantError, also
-under python -O.
+Stage one is one linalg.SubquotientBasis per slice.  A slice with no
+differential in or out (after simplify, every slice of a contraction
+column) is whole: its classes are the standard basis and expressing a
+vector is the identity.  Stage two pushes sparsely, column by column of
+the slice matrix; a source with no outgoing differential represents its
+classes by standard vectors, whose images are columns of the matrix,
+and between two whole slices the induced map is the slice matrix
+itself; nothing is solved.  Coefficients are ints or Fractions: the
+polynomial data is canonical (rational.py: an int when integral), so
+slices start out integer and Fractions come only from divisions.
+Failed internal checks raise linalg.InvariantError, also under
+python -O.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ from .braid import Word
 from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
-from .linalg import Echelon, InvariantError, QuotientSpace, \
-    SubquotientBasis, WholeSpace, matrix_rank, rows_from_entries
+from .linalg import InvariantError, SubquotientBasis, matrix_rank
 from .poly import GradedPiece, phi
 
 
@@ -400,30 +398,13 @@ class FoldedSlices:
 # the two stages
 
 
-def kernel_mod_image(dim: int, out: dict, out_dim: int,
-                     inc: dict) -> SubquotientBasis:
-    """Kernel of the outgoing entries (rows in out_dim coordinates)
-    modulo the span of the columns of the incoming entries, on a space
-    of dimension dim; a QuotientSpace when out is empty, a WholeSpace
-    when both are."""
-    if not out and not inc:
-        return WholeSpace(dim)
-    cols: dict = {}
-    for (r, c), v in inc.items():
-        cols.setdefault(c, [0] * dim)[r] = v
-    if not out:
-        return QuotientSpace(dim, cols.values())
-    cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
-    return SubquotientBasis(dim, cycles, list(cols.values()))
-
-
 def slice_subquotient(sl, sigma):
     """Homology basis at one slice: kernel of the outgoing differential
     modulo the image of the incoming one; None when the slice is empty."""
     dim = sl.dim(sigma)
     if not dim:
         return None
-    return kernel_mod_image(dim, sl.diff(sigma), sl.dim(sl.next(sigma)),
+    return SubquotientBasis(dim, sl.diff(sigma), sl.dim(sl.next(sigma)),
                             sl.diff(sl.prev(sigma)))
 
 
@@ -445,27 +426,25 @@ def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
     entries are ints or Fractions): push each representative forward
     and express it in the target subquotient.
 
-    Pushes are sparse: a quotient-space source represents its c-th
-    class by the standard vector at its c-th free index, whose image is
-    that column of the matrix, and a whole-space target's coordinates
-    are the image itself, so between two whole spaces the induced map
-    is the matrix."""
-    free = sq_src.free if isinstance(sq_src, QuotientSpace) else None
-    tgt_whole = isinstance(sq_tgt, WholeSpace)
-    if tgt_whole and isinstance(sq_src, WholeSpace):
+    Pushes are sparse: a source with standard representatives
+    represents its c-th class by the standard vector at its c-th class
+    column, whose image is that column of the matrix, and a whole
+    target's coordinates are the image itself, so between two whole
+    slices the induced map is the matrix."""
+    if sq_src.whole and sq_tgt.whole:
         return {key: v for key, v in entries.items() if v}
     by_col = _by_column(entries)
     out: dict = {}
     for c in range(sq_src.dim):
-        if free is not None:
-            img = dict(by_col.get(free[c], ()))
+        if sq_src.standard:
+            img = dict(by_col.get(sq_src.classes[c], ()))
         else:
             img = {}
             for x, val in enumerate(sq_src.reps[c]):
                 if val:
                     for r, v in by_col.get(x, ()):
                         img[r] = img.get(r, 0) + v * val
-        if not tgt_whole:
+        if not sq_tgt.whole:
             dense = [0] * tdim
             for r, v in img.items():
                 dense[r] = v

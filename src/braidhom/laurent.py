@@ -138,9 +138,6 @@ class Laurent2:
         return Laurent2({(e1 + f1 - g1, e2 + f2 - g2): v
                          for (e1, e2), v in quot.items()})
 
-    def coefficient(self, e1: int, e2: int) -> Fraction:
-        return self.terms.get((e1, e2), Fraction(0))
-
     def json_dict(self) -> dict:
         """{"e1,e2": coeff} with integer coefficients rendered as ints."""
         out = {}

@@ -13,14 +13,13 @@ in canonical values (rational.py: an int when integral), so most
 arithmetic stays on ints, and every division goes through
 rational.quotient, so no float can arise.
 
-A SubquotientBasis (cycles modulo boundaries) expresses vectors through
-a factored Echelon of its boundary and representative columns.  A slice
-with no outgoing differential is a QuotientSpace instead: every vector
-is a cycle, so standard vectors represent the classes and expressing a
-vector is a reduction against the boundaries.  With no incoming
-differential either it is a WholeSpace, where a vector is its own
-coordinate list.  Neither factors anything, and their representatives
-are only built when something reads them.
+A SubquotientBasis (cycles of an outgoing map modulo the boundaries of
+an incoming one) is the homology of every slice.  A kernel vector is
+fixed by its entries at the free columns of the outgoing map, so its
+classes are free columns and expressing a cycle reduces those entries
+against the boundaries: nothing is solved, and no factored matrix is
+kept.  With no outgoing map the representatives are standard vectors,
+and with no boundaries either a vector is its own coordinate list.
 
 Violated internal invariants raise InvariantError, an AssertionError
 raised explicitly, so the checks also run under python -O.
@@ -101,6 +100,8 @@ class Echelon:
         work = self.rows
         r = 0
         for col in range(self.ncols):
+            if r == len(work):
+                break
             sel = None
             for i in range(r, len(work)):
                 if work[i].get(col):
@@ -132,8 +133,6 @@ class Echelon:
                 self.ops.append(("axpy", i, r, piv, v, g))
             self.pivots.append((r, col))
             r += 1
-            if r == len(work):
-                break
 
     @property
     def rank(self) -> int:
@@ -182,13 +181,22 @@ class Echelon:
                 x[col] = quotient(acc, row[col])
         return x
 
-    def kernel_basis(self):
-        """Deterministic basis of the null space, one vector per free column."""
-        pivot_cols = {col for _, col in self.pivots}
+    @property
+    def free(self) -> list:
+        """The free (non-pivot) columns, ascending."""
+        free = list(range(self.ncols))
+        # pivot columns ascend, so deleting the last first keeps the
+        # positions of the earlier ones
+        for _, col in reversed(self.pivots):
+            del free[col]
+        return free
+
+    def kernel_basis(self, cols=None):
+        """Null space vectors, one per free column in cols (default: all
+        of them, a basis), each 1 at its own free column and 0 at the
+        other free columns."""
         basis = []
-        for f in range(self.ncols):
-            if f in pivot_cols:
-                continue
+        for f in self.free if cols is None else cols:
             x = [0] * self.ncols
             x[f] = 1
             basis.append(self._back_substitute(x, None))
@@ -255,106 +263,75 @@ class RowSpace:
         return len(self.rows)
 
 
-def _check_length(vec, dim: int):
-    if len(vec) != dim:
-        raise ValueError(f"vector of length {len(vec)} in a space of "
-                         f"dimension {dim}")
-
-
 class SubquotientBasis:
-    """A basis of (span of cycles)/(span of boundaries) with coordinates.
+    """Cycles of an outgoing map modulo the boundaries of an incoming
+    one, on a slice of dimension dim, with coordinates.
 
-    Representatives are chosen greedily from the cycle list in order, so
-    the basis is deterministic.  express() writes any vector of
-    span(cycles) + span(boundaries) in the representative basis modulo
-    boundaries.
+    out = {(row, col): coeff} has rows in out_dim coordinates; the
+    columns of inc = {(row, col): coeff} are the boundaries, and
+    out . inc = 0.  The kernel vector Echelon.kernel_basis builds at a
+    free (non-pivot) column of out has a 1 there and a 0 at every other
+    free column, so a cycle is fixed by its entries at the free columns,
+    its cycle coordinates.  The classes are represented by the kernel
+    vectors at the free columns that are no boundary's trailing (last
+    nonzero) cycle coordinate, in ascending order: exactly the vectors a
+    greedy choice from the kernel basis keeps after the boundaries, since
+    a kernel vector lies in the boundaries plus the earlier ones exactly
+    when some boundary ends at its column.  express() reduces the cycle
+    coordinates of a cycle against the boundaries from the trailing end,
+    which leaves them supported on the class columns, and reads the
+    coordinates off there.
+
+    When the outgoing map is zero every vector is a cycle and the
+    representatives are standard vectors (standard); with no boundaries
+    either the slice is whole and a vector is its own coordinate list.
     """
 
-    def __init__(self, ambient_dim: int, cycles, boundaries):
-        self.ambient_dim = ambient_dim
-        space = RowSpace(ambient_dim)
+    def __init__(self, dim: int, out: dict, out_dim: int, inc: dict):
+        self.ambient_dim = dim
+        self._out, self._out_dim = out, out_dim
+        ech = Echelon(rows_from_entries(out, out_dim) if out else [], dim)
+        self._free = ech.free
+        cols: dict = {}
+        for (r, c), v in inc.items():
+            cols.setdefault(c, [0] * dim)[r] = v
+        # boundaries in cycle coordinates, reversed, so that the pivots
+        # of the span are trailing coordinates
+        self._span = RowSpace(len(self._free))
         self.boundary_basis = []
-        for b in boundaries:
-            if space.add(b):
-                self.boundary_basis.append(list(b))
-        self.reps = []
-        for z in cycles:
-            if space.add(z):
-                self.reps.append(list(z))
-        cols = self.boundary_basis + self.reps
-        entries = {}
-        for j, v in enumerate(cols):
-            for i, val in enumerate(v):
-                if val:
-                    entries[(i, j)] = val
-        self._solver = Echelon(rows_from_entries(entries, ambient_dim),
-                               len(cols))
+        for b in cols.values():
+            if self._span.add([b[f] for f in reversed(self._free)]):
+                self.boundary_basis.append(b)
+        top = len(self._free) - 1
+        self._trailing = {top - pc for pc in self._span.pivcols}
+        self.classes = list(self._free)
+        for i in sorted(self._trailing, reverse=True):
+            del self.classes[i]
+        self.standard = not ech.pivots
+        self.whole = self.standard and not self.boundary_basis
+        self._reps = None if self.standard else ech.kernel_basis(self.classes)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
-
-    def express(self, vec):
-        """Coordinates of vec in the representative basis, mod boundaries."""
-        _check_length(vec, self.ambient_dim)
-        x = self._solver.solve(list(vec))
-        if x is None:
-            raise ValueError("vector is not in cycles + boundaries")
-        nb = len(self.boundary_basis)
-        return x[nb:]
-
-
-class QuotientSpace(SubquotientBasis):
-    """The subquotient of a slice with no outgoing differential: every
-    vector is a cycle, modulo the span of the boundaries.
-
-    The classes are represented by the standard vectors e_s at the free
-    indices s, those that are no boundary's trailing (last nonzero)
-    index, in ascending order.  These are exactly the vectors a greedy
-    choice from the identity list keeps, since e_s lies in the
-    boundaries plus e_0..e_{s-1} exactly when some boundary ends at s.
-    express() reduces a vector against the boundaries from the trailing
-    end, which leaves it supported on the free indices, and reads its
-    coordinates off there; nothing is factored.
-    """
-
-    def __init__(self, ambient_dim: int, boundaries=()):
-        self.ambient_dim = ambient_dim
-        self._span = RowSpace(ambient_dim)  # boundaries, coordinates reversed
-        self.boundary_basis = []
-        for b in boundaries:
-            if self._span.add(b[::-1]):
-                self.boundary_basis.append(list(b))
-        top = ambient_dim - 1
-        trailing = {top - pc for pc in self._span.pivcols}
-        self.free = [s for s in range(ambient_dim) if s not in trailing]
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
+        return len(self.classes)
 
     @property
     def reps(self) -> list:
-        """The standard vectors at the free indices, built on every read."""
-        d = self.ambient_dim
-        return [[int(t == s) for t in range(d)] for s in self.free]
+        """The representatives, in class order.  Standard ones are built
+        on each read, so a slice whose classes are only pushed sparsely
+        never holds them."""
+        if self._reps is None:
+            return Echelon([], self.ambient_dim).kernel_basis(self.classes)
+        return self._reps
 
     def express(self, vec):
-        _check_length(vec, self.ambient_dim)
-        w = self._span.reduce(vec[::-1])
-        top = self.ambient_dim - 1
-        return [w[top - s] for s in self.free]
-
-
-class WholeSpace(QuotientSpace):
-    """The subquotient of a slice with no differential in or out: all
-    vectors are cycles, none is a boundary, the classes are represented
-    by the standard basis in order, and express() is the identity."""
-
-    def __init__(self, ambient_dim: int):
-        super().__init__(ambient_dim)
-
-    def express(self, vec):
-        """vec itself: cycles plus boundaries is the whole space."""
-        _check_length(vec, self.ambient_dim)
-        return list(vec)
+        """Coordinates of a cycle in the representative basis, modulo
+        boundaries; ValueError when vec is not a cycle."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(vec)} in a space of "
+                             f"dimension {self.ambient_dim}")
+        if any(mat_vec(self._out, vec, self._out_dim)):
+            raise ValueError("vector is not a cycle")
+        w = self._span.reduce([vec[f] for f in reversed(self._free)])
+        return [x for i, x in enumerate(reversed(w))
+                if i not in self._trailing]

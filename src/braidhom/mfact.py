@@ -63,9 +63,9 @@ from .braid import Word
 from .complexes import rouquier_complex
 from .diffobj import DiffObject
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
-                       exterior_column, kernel_mod_image, scan_bounds,
-                       scan_degrees, two_sided_koszul)
-from .linalg import InvariantError, RowSpace
+                       exterior_column, scan_bounds, scan_degrees,
+                       two_sided_koszul)
+from .linalg import InvariantError, RowSpace, SubquotientBasis
 from .poly import Poly, power_sum_difference, psi_quotient
 
 
@@ -212,7 +212,7 @@ def _class_weights(fs, sigma, k: int, sqs: dict, mats: dict, h: int) -> list:
     out = {(r, inv[c]): v for (r, c), v in mats.get(k, {}).items()}
     inc = {(inv[r], c): v for (r, c), v in mats.get(k - 1, {}).items()}
     out_dim = sqs[k + 1].dim if k + 1 in sqs else 0
-    sq2 = kernel_mod_image(sq.dim, out, out_dim, inc)
+    sq2 = SubquotientBasis(sq.dim, out, out_dim, inc)
     if sq2.dim != h:
         raise InvariantError(f"reordered tower at step {k} has {sq2.dim} "
                              f"classes, not {h}")

@@ -170,12 +170,6 @@ class Poly:
 
     # --- one-sided <-> two-sided ---
 
-    def lift(self) -> "Poly":
-        """Embed a one-sided poly p(x) into the two-sided ring."""
-        assert not self.two_sided
-        pad = (0,) * (self.n - 1)
-        return Poly(self.n, {m + pad: c for m, c in self.terms.items()}, True)
-
     def split_xy(self):
         """Write a two-sided poly as [(y-monomial, x-part Poly)] pairs.
 

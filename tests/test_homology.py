@@ -1,15 +1,18 @@
 """Triply graded closure homology: anchors, frozen tables, trace checks."""
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from braidhom.bimodule import identity_bimodule
 from braidhom.braid import Word
-from braidhom.conventions import homology_euler_as_skein, match_exact
+from braidhom.conventions import (homology_euler_as_skein, match_exact,
+                                  oracle_specialized, sln_euler)
 from braidhom.homology import (DegreeWindow, TriGradedSpace,
                                hochschild_bimodule, hochschild_closed_form,
                                homfly_homology, koszul_resolution_check,
@@ -151,3 +154,42 @@ def test_tower_check_survives_python_O():
                           env={"PYTHONPATH": str(src)})
     assert done.stdout.startswith("raised: induced maps do not square"), \
         done.stdout + done.stderr
+
+
+def _knot_words() -> list:
+    """Knot-closure words on two strands with one or three letters and on
+    three strands with two or four letters: all 178 with n <= 3 and at
+    most 4 letters (stabilization moves need a fourth strand)."""
+    words = []
+    for n, length in [(2, 1), (2, 3), (3, 2), (3, 4)]:
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for letter in itertools.product(letters, repeat=length):
+            text = f"{n}: " + " ".join(map(str, letter))
+            if Word.parse(text).is_knot_closure:
+                words.append(text)
+    return words
+
+
+KNOT_WORDS = _knot_words()
+
+
+# each example draws only a word, and Hypothesis never repeats an
+# example, so the eight words are distinct.  No shrink phase: every word
+# is already small, and shrinking reruns the pipelines
+@settings(derandomize=True, max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.sampled_from(KNOT_WORDS))
+def test_homfly_and_sl2_property(text):
+    assert len(KNOT_WORDS) == 178
+    word = Word.parse(text)
+    space, report = homfly_homology(word)
+    assert report["stabilized"], text
+    value = homfly_oracle(word)
+    assert match_exact(homology_euler_as_skein(space), value.poly), text
+    assert homfly_homology(word.mirror())[0] == space.mirror(), text
+    rotated = Word(word.n, word.entries[1:] + word.entries[:1])
+    assert homfly_homology(rotated)[0] == space, text
+    sl2, report2 = sln_homology(word, 2)
+    assert report2["stabilized"], text
+    assert match_exact(sln_euler(sl2), oracle_specialized(value, 2)), text
+    assert sl2.total_dim <= space.total_dim, text

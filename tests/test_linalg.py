@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from braidhom import mfact
 from braidhom.braid import Word
 from braidhom.complexes import rouquier_complex
 from braidhom.homology import (ColumnData, DegreeWindow, induced_matrix,
-                               kernel_mod_image, scan_bounds)
-from braidhom.linalg import (Echelon, InvariantError, QuotientSpace, RowSpace,
-                             SubquotientBasis, WholeSpace, mat_vec,
-                             matrix_rank, rows_from_entries)
+                               scan_bounds, slice_subquotient)
+from braidhom.linalg import (Echelon, InvariantError, RowSpace,
+                             SubquotientBasis, mat_vec, matrix_rank,
+                             rows_from_entries)
 
 
 def naive_rref_rank(dense):
@@ -135,30 +135,111 @@ def test_reduced_leading_index_ignores_insertion_order():
             assert got == first
 
 
+
+
+# -- subquotients, against the cycle-list reference --------------------------
+
+class CycleListSubquotient:
+    """The reference subquotient: boundaries, then cycles, are chosen
+    greedily in the order given, and coordinates come from an exact
+    solve against [boundary basis | representatives]."""
+
+    def __init__(self, ambient_dim: int, cycles, boundaries):
+        space = RowSpace(ambient_dim)
+        self.boundary_basis = []
+        for b in boundaries:
+            if space.add(b):
+                self.boundary_basis.append(list(b))
+        self.reps = []
+        for z in cycles:
+            if space.add(z):
+                self.reps.append(list(z))
+        cols = self.boundary_basis + self.reps
+        entries = {(i, j): val for j, v in enumerate(cols)
+                   for i, val in enumerate(v) if val}
+        self.ambient_dim = ambient_dim
+        self._solver = Echelon(rows_from_entries(entries, ambient_dim),
+                               len(cols))
+
+    @property
+    def dim(self) -> int:
+        return len(self.reps)
+
+    def express(self, vec):
+        if len(vec) != self.ambient_dim:
+            raise ValueError("wrong length")
+        x = self._solver.solve(list(vec))
+        if x is None:
+            raise ValueError("vector is not in cycles + boundaries")
+        return x[len(self.boundary_basis):]
+
+
+def boundary_columns(inc: dict, dim: int) -> list:
+    """The columns of the incoming entries as dense vectors, in the
+    order their first entries appear."""
+    cols: dict = {}
+    for (r, c), v in inc.items():
+        cols.setdefault(c, [0] * dim)[r] = v
+    return list(cols.values())
+
+
+def reference(dim: int, out: dict, out_dim: int, inc: dict):
+    """The reference subquotient of a slice, its cycles the kernel basis
+    of the outgoing map."""
+    cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
+    return CycleListSubquotient(dim, cycles, boundary_columns(inc, dim))
+
+
+def whole(dim: int) -> SubquotientBasis:
+    return SubquotientBasis(dim, {}, 0, {})
+
+
+def identity(dim):
+    return [[Fraction(int(t == s)) for t in range(dim)] for s in range(dim)]
+
+
+def assert_same_subquotient(sq, ref, probes):
+    assert sq.dim == ref.dim
+    assert sq.reps == ref.reps
+    assert sq.boundary_basis == ref.boundary_basis
+    assert mfact._leads(sq) == mfact._leads(ref)
+    for vec in probes:
+        try:
+            want = ref.express(vec)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sq.express(vec)
+        else:
+            assert sq.express(vec) == want
+
+
 def test_subquotient_three_term_complex():
     # d2: Q^1 -> Q^3 with image (1,-1,0); d1: Q^3 -> Q^1 summing coordinates.
     # ker d1 is 2-dim, so homology is 1-dim.
     one = Fraction(1)
-    cycles = [[one, -one, Fraction(0)], [Fraction(0), one, -one]]
-    boundaries = [[one, -one, Fraction(0)]]
-    H = SubquotientBasis(3, cycles, boundaries)
+    out = {(0, 0): one, (0, 1): one, (0, 2): one}
+    inc = {(0, 0): one, (1, 0): -one}
+    H = SubquotientBasis(3, out, 1, inc)
     assert H.dim == 1
-    # the second cycle is the representative; expressing it gives coord 1
-    assert H.express([Fraction(0), one, -one]) == [one]
+    # the kernel vector at free column 2 represents the class: the
+    # boundary ends at free column 1
+    assert H.classes == [2] and H.reps == [[-1, 0, 1]]
+    assert H.express([Fraction(0), one, -one]) == [-one]
     # shifting by a boundary must not change the coordinates
-    shifted = [one, Fraction(0), -one]
-    assert H.express(shifted) == [one]
+    assert H.express([one, Fraction(0), -one]) == [-one]
     # a boundary expresses as zero
     assert H.express([Fraction(2), Fraction(-2), Fraction(0)]) == [Fraction(0)]
+    assert_same_subquotient(H, reference(3, out, 1, inc),
+                            identity(3) + [[one, -one, Fraction(0)]])
 
 
 def test_subquotient_rejects_foreign_vector():
-    H = SubquotientBasis(2, [[Fraction(1), Fraction(0)]], [])
-    try:
+    H = SubquotientBasis(2, {(0, 1): Fraction(1)}, 1, {})
+    assert H.reps == [[1, 0]]
+    with pytest.raises(ValueError):
         H.express([Fraction(0), Fraction(1)])
-        assert False
-    except ValueError:
-        pass
+    with pytest.raises(ValueError):
+        H.express([Fraction(1)])
 
 
 def test_homology_dimension_random_complexes():
@@ -179,58 +260,127 @@ def test_homology_dimension_random_complexes():
                 c = rng.randrange(-2, 3)
                 v = [a + c * b for a, b in zip(v, k)]
             cols.append(v)
-        H = SubquotientBasis(mid, kb, cols)
+        inc = {(r, j): v for j, col in enumerate(cols)
+               for r, v in enumerate(col) if v}
+        H = SubquotientBasis(mid, e1, out, inc)
         bd_rank = RowSpace(mid)
         img = sum(1 for v in cols if bd_rank.add(v))
         assert H.dim == len(kb) - img
 
 
-def identity(dim):
-    return [[Fraction(int(t == s)) for t in range(dim)] for s in range(dim)]
-
-
 def test_whole_space_from_a_slice_without_differential():
-    sq = kernel_mod_image(3, {}, 2, {})
-    assert isinstance(sq, WholeSpace) and sq.dim == 3
-    assert not isinstance(kernel_mod_image(3, {(0, 1): Fraction(1)}, 2, {}),
-                          WholeSpace)
-    assert not isinstance(kernel_mod_image(3, {}, 2, {(1, 0): Fraction(1)}),
-                          WholeSpace)
+    sq = SubquotientBasis(3, {}, 2, {})
+    assert sq.whole and sq.standard and sq.dim == 3
+    out = SubquotientBasis(3, {(0, 1): Fraction(1)}, 2, {})
+    assert not out.whole and not out.standard
+    inc = SubquotientBasis(3, {}, 2, {(1, 0): Fraction(1)})
+    assert not inc.whole and inc.standard and inc.classes == [0, 2]
 
 
 def test_whole_space_express_returns_its_input():
-    sq = WholeSpace(4)
     vec = [Fraction(0), Fraction(-3, 2), Fraction(0), Fraction(5)]
-    assert sq.express(vec) == vec
-    assert sq.express(vec) is not vec
-    assert WholeSpace(0).express([]) == []
+    assert whole(4).express(vec) == vec
+    assert whole(4).express(vec) is not vec
+    assert whole(0).express([]) == []
 
 
 def test_whole_space_express_rejects_a_wrong_length():
     for vec in ([Fraction(1)] * 2, [Fraction(1)] * 4):
         with pytest.raises(ValueError):
-            WholeSpace(3).express(vec)
-    with pytest.raises(ValueError):
-        SubquotientBasis(3, identity(3), []).express([Fraction(1)] * 2)
+            whole(3).express(vec)
+        with pytest.raises(ValueError):
+            SubquotientBasis(3, {(0, 0): 1}, 1, {}).express(vec)
 
 
 def test_whole_space_reps_are_the_standard_basis():
-    assert WholeSpace(3).reps == identity(3)
-    assert WholeSpace(3).reps == SubquotientBasis(3, identity(3), []).reps
-    assert WholeSpace(0).reps == [] and WholeSpace(0).dim == 0
-    assert list(WholeSpace(2).boundary_basis) == []
+    assert whole(3).reps == identity(3)
+    assert whole(3).reps == CycleListSubquotient(3, identity(3), []).reps
+    assert whole(0).reps == [] and whole(0).dim == 0
+    assert whole(2).boundary_basis == []
 
 
 def test_class_leads_on_a_whole_space():
-    assert mfact._leads(WholeSpace(4)) == [0, 1, 2, 3]
-    assert mfact._leads(WholeSpace(4)) == \
-        mfact._leads(SubquotientBasis(4, identity(4), []))
+    assert mfact._leads(whole(4)) == [0, 1, 2, 3]
+    assert mfact._leads(whole(4)) == \
+        mfact._leads(CycleListSubquotient(4, identity(4), []))
 
 
 def test_solve_length_check_raises_invariant_error():
     ech = Echelon(rows_from_entries({(0, 0): Fraction(1)}, 2), 1)
     with pytest.raises(InvariantError):
         ech.solve([Fraction(1)])
+
+
+@st.composite
+def slice_complexes(draw):
+    """(dim, out, out_dim, inc) with out . inc = 0: the boundaries are
+    integer combinations of the kernel basis of out."""
+    dim, out_dim = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    keys = st.tuples(st.integers(0, max(out_dim - 1, 0)),
+                     st.integers(0, max(dim - 1, 0)))
+    out = draw(st.dictionaries(keys, st.integers(-2, 2).filter(bool),
+                               max_size=6)) if dim and out_dim else {}
+    cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(cycles),
+                                    max_size=len(cycles)), max_size=5))
+    inc = {}
+    for j, combo in enumerate(combos):
+        for r in range(dim):
+            v = sum(a * z[r] for a, z in zip(combo, cycles))
+            if v:
+                inc[(r, j)] = v
+    return dim, out, out_dim, inc
+
+
+# no shrink phase: the cases are already small
+@settings(derandomize=True, max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(slice_complexes(), st.lists(st.integers(-2, 2), min_size=10,
+                                   max_size=10))
+def test_subquotient_matches_the_cycle_list_reference(case, coeffs):
+    dim, out, out_dim, inc = case
+    sq = SubquotientBasis(dim, out, out_dim, inc)
+    ref = reference(dim, out, out_dim, inc)
+    # probes: standard vectors (cycles only where out vanishes) and
+    # combinations of representatives and boundaries
+    mixed = [Fraction(0)] * dim
+    for a, v in zip(coeffs, ref.reps + ref.boundary_basis):
+        mixed = [x + Fraction(a, 2) * y for x, y in zip(mixed, v)]
+    assert_same_subquotient(sq, ref, identity(dim) + [mixed])
+    for c in {c for (_r, c) in out}:
+        with pytest.raises(ValueError):
+            sq.express(identity(dim)[c])
+    with pytest.raises(ValueError):
+        sq.express([0] * (dim + 1))
+
+
+def test_quotient_space_reps_match_the_identity_list_on_sln_slices():
+    # mfact._leads and the class weights read the representatives, so
+    # they must be the same vectors in the same order as the greedy
+    # choice from the kernel basis, on the slices with only an incoming
+    # differential and on those with both
+    skipped = both = 0
+    for text, N in (("2: 1 1 1", 3), ("2: 1 1 1 1 1", 3), ("3: 1 2", 3),
+                    ("3: 1 -2", 3)):
+        data = ColumnData(rouquier_complex(Word.parse(text)), N, True)
+        lo, _hi, top = scan_bounds(data.cols.values(), DegreeWindow())
+        for q in range(lo, top + 3 * (N + 1)):
+            for sigma in data.sigmas(q):
+                for sl in data.slicers.values():
+                    dim, inc = sl.dim(sigma), sl.diff(sl.prev(sigma))
+                    out = sl.diff(sigma)
+                    if not dim or not inc:
+                        continue
+                    sq = slice_subquotient(sl, sigma)
+                    ref = reference(dim, out, sl.dim(sl.next(sigma)), inc)
+                    probes = identity(dim) + [
+                        [Fraction(t + 1, 2) for t in range(dim)],
+                        [sum(col) for col in zip(*ref.reps, *ref.boundary_basis)]]
+                    assert_same_subquotient(sq, ref, probes)
+                    skipped += not out and sq.classes != list(range(sq.dim))
+                    both += bool(out)
+    assert skipped >= 10  # slices whose classes skip some standard vectors
+    assert both >= 10
 
 
 def reference_push(entries, tdim, sq_src, sq_tgt):
@@ -257,36 +407,35 @@ def slice_maps(draw):
 def test_sparse_push_matches_the_general_path(case, m):
     sdim, tdim, entries = case
     want = reference_push(entries, tdim,
-                          SubquotientBasis(sdim, identity(sdim), []),
-                          SubquotientBasis(tdim, identity(tdim), []))
-    for src in (WholeSpace(sdim), SubquotientBasis(sdim, identity(sdim), [])):
-        for tgt in (WholeSpace(tdim),
-                    SubquotientBasis(tdim, identity(tdim), [])):
-            assert induced_matrix(entries, tdim, src, tgt) == want
-        # a target spanned by the first m coordinates: pushed vectors
-        # with a nonzero entry past them leave it
-        m = min(m, tdim)
-        part = SubquotientBasis(tdim, identity(tdim)[:m], [])
-        if any(v and r >= m for (r, _c), v in entries.items()):
-            with pytest.raises(AssertionError):
-                induced_matrix(entries, tdim, src, part)
-        else:
-            assert induced_matrix(entries, tdim, src, part) == want
+                          CycleListSubquotient(sdim, identity(sdim), []),
+                          CycleListSubquotient(tdim, identity(tdim), []))
+    assert induced_matrix(entries, tdim, whole(sdim), whole(tdim)) == want
+    # the target of cycles supported on the first m coordinates: pushed
+    # vectors with a nonzero entry past them leave it
+    m = min(m, tdim)
+    part = SubquotientBasis(tdim, {(r - m, r): 1 for r in range(m, tdim)},
+                            tdim - m, {})
+    if any(v and r >= m for (r, _c), v in entries.items()):
+        with pytest.raises(AssertionError):
+            induced_matrix(entries, tdim, whole(sdim), part)
+    else:
+        assert induced_matrix(entries, tdim, whole(sdim), part) == want
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(slice_maps(), st.lists(st.lists(st.integers(-2, 2), min_size=4,
-                                       max_size=4), max_size=4))
+@given(slice_maps(), st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 3)),
+    st.integers(-2, 2).filter(bool), max_size=6))
 def test_sparse_push_of_general_representatives(case, raw):
-    # representatives that are not standard vectors, pushed sparsely
+    # representatives that are not standard vectors, pushed sparsely,
+    # into a whole target and into one with the boundary e_0
     sdim, tdim, entries = case
-    cycles = [[Fraction(x) for x in vec[:sdim]] for vec in raw]
-    src = SubquotientBasis(sdim, cycles, [])
-    want = reference_push(entries, tdim, src,
-                          SubquotientBasis(tdim, identity(tdim), []))
-    assert induced_matrix(entries, tdim, src, WholeSpace(tdim)) == want
-    assert induced_matrix(entries, tdim, src,
-                          SubquotientBasis(tdim, identity(tdim), [])) == want
+    src = SubquotientBasis(sdim, {(r, c): v for (r, c), v in raw.items()
+                                  if c < sdim}, 3, {})
+    for tgt in (whole(tdim),
+                SubquotientBasis(tdim, {}, 0, {(0, 0): 1} if tdim else {})):
+        assert induced_matrix(entries, tdim, src, tgt) == \
+            reference_push(entries, tdim, src, tgt)
 
 
 # -- exact results from mixed int / Fraction input ---------------------------
@@ -341,50 +490,3 @@ def test_mixed_input_gives_exact_results_equal_to_the_fraction_path(case):
     assert results[0] == results[1]
 
 
-# -- quotient spaces: slices with an incoming but no outgoing differential --
-
-def assert_same_subquotient(sq, ref, dim):
-    assert sq.dim == ref.dim
-    assert sq.reps == ref.reps
-    assert sq.boundary_basis == ref.boundary_basis
-    assert mfact._leads(sq) == mfact._leads(ref)
-    probes = identity(dim) + [[Fraction(t + 1, 2) for t in range(dim)]]
-    for vec in probes:
-        assert sq.express(vec) == ref.express(vec)
-
-
-def test_quotient_space_reps_match_the_identity_list_on_sln_slices():
-    # mfact._leads and the class weights read the representatives, so
-    # they must be the same vectors in the same order as the greedy
-    # choice from the identity list
-    seen = 0
-    for text, N in (("2: 1 1 1", 3), ("2: 1 1 1 1 1", 3)):
-        data = ColumnData(rouquier_complex(Word.parse(text)), N, True)
-        lo, _hi, top = scan_bounds(data.cols.values(), DegreeWindow())
-        for q in range(lo, top + 3 * (N + 1)):
-            for sigma in data.sigmas(q):
-                for sl in data.slicers.values():
-                    dim, inc = sl.dim(sigma), sl.diff(sl.prev(sigma))
-                    if not dim or sl.diff(sigma) or not inc:
-                        continue
-                    sq = kernel_mod_image(dim, {}, 0, inc)
-                    assert type(sq) is QuotientSpace
-                    cols: dict = {}
-                    for (r, c), v in inc.items():
-                        cols.setdefault(c, [0] * dim)[r] = v
-                    ref = SubquotientBasis(dim, identity(dim),
-                                           list(cols.values()))
-                    assert_same_subquotient(sq, ref, dim)
-                    seen += sq.free != list(range(sq.dim))
-    assert seen >= 10  # slices whose classes skip some standard vectors
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda d: st.tuples(
-    st.just(d), st.lists(st.lists(st.integers(-2, 2), min_size=d,
-                                  max_size=d), max_size=5))))
-def test_quotient_space_matches_the_identity_list(case):
-    dim, boundaries = case
-    assert_same_subquotient(QuotientSpace(dim, boundaries),
-                            SubquotientBasis(dim, identity(dim), boundaries),
-                            dim)
