@@ -21,7 +21,7 @@ Shifts: M.shift(a) raises all generator degrees by a (so elements become
 from __future__ import annotations
 
 from .linalg import InvariantError
-from .poly import GradedPiece, Poly
+from .poly import Poly, graded_piece
 
 # sparse matrix over S: {(row, col): Poly}
 Mat = dict
@@ -73,6 +73,15 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 def mat_identity(rank: int, n: int) -> Mat:
     one = Poly.one(n)
     return {(i, i): one for i in range(rank)}
+
+
+def entry_degree(p: Poly, key, what: str = "entry") -> int:
+    """Homogeneous degree of a nonzero matrix entry; InvariantError if it
+    mixes degrees, since every structure map is homogeneous."""
+    try:
+        return p.homogeneous_degree()
+    except ValueError as e:
+        raise InvariantError(f"{what} {key} {e}") from None
 
 
 class Bimodule:
@@ -155,8 +164,9 @@ class Bimodule:
         """Check all bimodule axioms (homogeneity, commuting, sum zero);
         InvariantError if one fails."""
         for k in range(self.n):
+            what = f"action x_{k+1} entry"
             for (a, b), p in self.actions[k].items():
-                d = p.homogeneous_degree()
+                d = entry_degree(p, (a, b), what)
                 if d != 2 + self.gens[b] - self.gens[a]:
                     raise InvariantError(
                         f"action x_{k+1} entry {(a, b)} degree {d}")
@@ -192,7 +202,7 @@ class BimoduleMap:
         self.mat = mat_clean(mat)
         deg = None
         for (a, b), p in self.mat.items():
-            d = p.homogeneous_degree() - src.gens[b] + tgt.gens[a]
+            d = entry_degree(p, (a, b)) - src.gens[b] + tgt.gens[a]
             if deg is None:
                 deg = d
             elif deg != d:
@@ -373,7 +383,7 @@ class GradedFreeBasis:
 
     def __init__(self, n: int, gens, j: int, two_sided: bool = False):
         self.n, self.gens, self.j = n, tuple(gens), j
-        self.pieces = [GradedPiece(n, j - g, two_sided) for g in self.gens]
+        self.pieces = [graded_piece(n, j - g, two_sided) for g in self.gens]
         self.offsets = []
         total = 0
         for p in self.pieces:
@@ -409,7 +419,10 @@ def graded_map_entries(mat: Mat, src: GradedFreeBasis,
 
     src and tgt fix the internal degrees; entries whose degree cannot
     connect the two (empty pieces) contribute nothing, but a nonzero
-    entry with the wrong homogeneous degree is an error.
+    entry with the wrong homogeneous degree is an error.  Each entry's
+    block is written straight from the source piece's shift tables:
+    blocks of distinct entries are disjoint, and in one column distinct
+    monomials of an entry hit distinct rows, so nothing sums or cancels.
     """
     out: dict = {}
     for (a, b), p in mat.items():
@@ -417,13 +430,14 @@ def graded_map_entries(mat: Mat, src: GradedFreeBasis,
         if sp.dim == 0:
             continue
         need = (tgt.j - tgt.gens[a]) - (src.j - src.gens[b])
-        if p.homogeneous_degree() != need:
-            raise InvariantError(f"entry {(a, b)} has degree "
-                                 f"{p.homogeneous_degree()}, needs {need}")
+        d = entry_degree(p, (a, b))
+        if d != need:
+            raise InvariantError(f"entry {(a, b)} has degree {d}, "
+                                 f"needs {need}")
         if tp.dim == 0:
             continue
         ro, co = tgt.offsets[a], src.offsets[b]
-        for (r, c), v in p.mult_matrix(sp, tp).items():
-            key = (ro + r, co + c)
-            out[key] = out.get(key, 0) + v
-    return {k: v for k, v in out.items() if v}
+        for e, coef in p.terms.items():
+            for c, r in enumerate(sp.shift(e), co):
+                out[(ro + r, c)] = coef
+    return out

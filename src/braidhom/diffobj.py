@@ -16,7 +16,7 @@ from the bimodule side.
 
 from __future__ import annotations
 
-from .bimodule import mat_clean, mat_mul
+from .bimodule import entry_degree, mat_clean, mat_mul
 from .linalg import InvariantError
 from .poly import Poly
 from .rational import quotient
@@ -49,10 +49,10 @@ class DiffObject:
             hc, qc = self.gens[c]
             if dh is not None and hr != hc + dh:
                 raise InvariantError(f"hdeg mismatch at {(r, c)}")
-            if p.homogeneous_degree() != dq + qc - qr:
-                raise InvariantError(
-                    f"qdeg mismatch at {(r, c)}: "
-                    f"{p.homogeneous_degree()} != {dq + qc - qr}")
+            d = entry_degree(p, (r, c), "differential entry")
+            if d != dq + qc - qr:
+                raise InvariantError(f"qdeg mismatch at {(r, c)}: "
+                                     f"{d} != {dq + qc - qr}")
         if square and mat_mul(self.diff, self.diff):
             raise InvariantError("d^2 != 0")
 

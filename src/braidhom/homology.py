@@ -61,7 +61,7 @@ from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
 from .linalg import InvariantError, SubquotientBasis, matrix_rank
-from .poly import GradedPiece, phi
+from .poly import graded_piece, phi
 
 
 class DegreeWindow:
@@ -698,8 +698,7 @@ def hochschild_closed_form(n: int, p: int, j: int) -> int:
     """Known answer for the identity bimodule: an exterior algebra on
     n-1 degree-(1, 2) generators tensored with the base ring."""
     from math import comb
-    piece = GradedPiece(n, j - 2 * p)
-    return comb(n - 1, p) * piece.dim
+    return comb(n - 1, p) * graded_piece(n, j - 2 * p, False).dim
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +735,7 @@ def koszul_resolution_check(n: int, j_max: int = 12):
     for j in range(0, j_max + 1, 2):
         for p in range(n):
             got = dims.get((p, j), 0)
-            want = GradedPiece(n, j).dim if p == 0 else 0
+            want = graded_piece(n, j, False).dim if p == 0 else 0
             if got != want:
                 raise InvariantError(f"resolution fails at n={n}, p={p}, "
                                      f"j={j}: {got} != {want}")

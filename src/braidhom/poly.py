@@ -18,7 +18,9 @@ For n = 1 the only monomial is the empty tuple and polys are constants.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add
 
 from .rational import exact
 
@@ -163,10 +165,13 @@ class Poly:
         """Degree if homogeneous (None for 0); raises otherwise."""
         if not self.terms:
             return None
-        degs = {2 * sum(m) for m in self.terms}
-        if len(degs) != 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        monos = iter(self.terms)
+        half = sum(next(monos))
+        for mono in monos:
+            if sum(mono) != half:
+                degs = sorted({2 * sum(m) for m in self.terms})
+                raise ValueError(f"not homogeneous: degrees {degs}")
+        return 2 * half
 
     # --- one-sided <-> two-sided ---
 
@@ -185,24 +190,6 @@ class Poly:
             grouped.setdefault(ym, {})[xm] = c
         return [(ym, Poly(self.n, xterms, False))
                 for ym, xterms in sorted(grouped.items())]
-
-    # --- linear algebra over graded pieces ---
-
-    def mult_matrix(self, src: "GradedPiece", tgt: "GradedPiece") -> dict:
-        """Sparse matrix {(row, col): coeff} of multiplication by self.
-
-        Columns are indexed by src monomials, rows by tgt monomials.  The
-        poly must be homogeneous of degree tgt.degree - src.degree.
-        """
-        out: dict = {}
-        if not self.terms:
-            return out
-        for c_idx, mono in enumerate(src.basis):
-            for e, coef in self.terms.items():
-                target = tuple(a + b for a, b in zip(e, mono))
-                out_key = (tgt.index(target), c_idx)
-                out[out_key] = out.get(out_key, 0) + coef
-        return {k: v for k, v in out.items() if v}
 
     def __repr__(self):
         if not self.terms:
@@ -241,25 +228,36 @@ def monomial_count(nvars: int, total: int) -> int:
 
 
 class GradedPiece:
-    """Ordered monomial basis of one internal degree of the coefficient ring."""
+    """Ordered monomial basis of one internal degree of the coefficient
+    ring; shared, so built only by graded_piece."""
 
-    __slots__ = ("n", "degree", "two_sided", "basis", "_index")
+    __slots__ = ("n", "degree", "two_sided", "basis", "dim", "_index",
+                 "_shifts")
 
-    def __init__(self, n: int, degree: int, two_sided: bool = False):
+    def __init__(self, n: int, degree: int, two_sided: bool):
         self.n, self.degree, self.two_sided = n, degree, two_sided
         m = 2 * (n - 1) if two_sided else n - 1
         if degree < 0 or degree % 2:
-            self.basis = []
+            self.basis = ()
         else:
-            self.basis = list(monomials(m, degree // 2))
+            self.basis = tuple(monomials(m, degree // 2))
+        self.dim = len(self.basis)
         self._index = {mono: k for k, mono in enumerate(self.basis)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+        self._shifts: dict = {}
 
     def index(self, mono) -> int:
         return self._index[mono]
+
+    def shift(self, e) -> list:
+        """Indices of e * m, over the basis monomials m, in the piece of
+        degree self.degree + deg(e); built once per monomial e."""
+        rows = self._shifts.get(e)
+        if rows is None:
+            index = graded_piece(self.n, self.degree + 2 * sum(e),
+                                 self.two_sided)._index
+            rows = self._shifts[e] = [index[tuple(map(add, e, m))]
+                                      for m in self.basis]
+        return rows
 
     def vector(self, p: Poly) -> list:
         """Coefficient vector of a homogeneous poly in this piece's basis."""
@@ -271,6 +269,17 @@ class GradedPiece:
     def poly(self, vec) -> Poly:
         terms = {mono: c for mono, c in zip(self.basis, vec) if c}
         return Poly(self.n, terms, self.two_sided)
+
+
+# one HOMFLY, sl(N) or cube call meets 15 to 50 distinct pieces
+PIECE_CACHE_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=PIECE_CACHE_SIZE)
+def graded_piece(n: int, degree: int, two_sided: bool, /) -> GradedPiece:
+    """The shared piece of (n, degree, two_sided); positional arguments
+    only, so equal ring data is one cache key."""
+    return GradedPiece(n, degree, two_sided)
 
 
 def phi(n: int, i: int) -> Poly:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
                                aux_bimodules, bs_bimodule, extension_bimodule,
@@ -14,7 +15,7 @@ from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
 from braidhom.diffobj import DiffObject
 from braidhom.linalg import InvariantError, matrix_rank
 from braidhom.mfact import MatrixFactorization
-from braidhom.poly import Poly, phi
+from braidhom.poly import Poly, graded_piece, phi
 
 
 def test_constructors_satisfy_axioms():
@@ -173,6 +174,68 @@ def test_graded_basis_roundtrip_and_map_matrix():
         assert tgt.decompose(expect) == image
 
 
+@st.composite
+def graded_maps(draw):
+    """A poly matrix between two free modules of one to three shifted
+    generators, one- or two-sided, in one pair of internal degrees: an
+    entry of one to three terms where its degree exists, at random, so
+    some entries start at empty source pieces and some generators have
+    empty pieces (negative or odd degree)."""
+    # three strands twice as often: their pieces hold the most monomials
+    n = draw(st.sampled_from([1, 2, 3, 3]))
+    two_sided = draw(st.booleans())
+    gens = st.lists(st.integers(-3, 4), min_size=1, max_size=3)
+    src = GradedFreeBasis(n, draw(gens), draw(st.integers(-2, 6)), two_sided)
+    tgt = GradedFreeBasis(n, draw(gens), src.j + draw(st.integers(-2, 6)),
+                          two_sided)
+    coef = st.fractions(-3, 3, max_denominator=2).filter(bool)
+    mat = {}
+    for a, ga in enumerate(tgt.gens):
+        for b, gb in enumerate(src.gens):
+            need = (tgt.j - ga) - (src.j - gb)
+            monos = graded_piece(n, need, two_sided).basis
+            if monos and draw(st.booleans()):
+                terms = draw(st.dictionaries(st.sampled_from(monos), coef,
+                                             min_size=1, max_size=3))
+                mat[(a, b)] = Poly(n, terms, two_sided)
+    return mat, src, tgt
+
+
+def dense_entries(mat, src, tgt) -> dict:
+    """Reference: multiply each source monomial by its column of polys and
+    flatten the images in the target basis."""
+    out = {}
+    for b, piece in enumerate(src.pieces):
+        for k, mono in enumerate(piece.basis):
+            m = Poly(src.n, {mono: 1}, piece.two_sided)
+            image = [Poly.zero(src.n, piece.two_sided)] * len(tgt.gens)
+            for (a, bb), p in mat.items():
+                if bb == b:
+                    image[a] = p * m
+            for r, v in enumerate(tgt.vector(image)):
+                if v:
+                    out[(r, src.offsets[b] + k)] = v
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(graded_maps())
+def test_graded_map_entries_agree_with_multiplication(drawn):
+    mat, src, tgt = drawn
+    assert graded_map_entries(mat, src, tgt) == dense_entries(mat, src, tgt)
+    # an entry of the wrong degree at a nonempty source piece is an error
+    b = next((b for b, piece in enumerate(src.pieces) if piece.dim), None)
+    if b is None:
+        return
+    need = (tgt.j - tgt.gens[0]) - (src.j - src.gens[b])
+    wrong = (Poly.const(src.n, 1, src.pieces[b].two_sided) if need
+             else Poly.x(src.n, 1, src.pieces[b].two_sided))
+    if wrong:
+        with pytest.raises(InvariantError, match="has degree"):
+            graded_map_entries({**mat, (0, b): wrong}, src, tgt)
+
+
 # -- the checks raise InvariantError, also under python -O -------------------
 
 def test_failed_checks_raise_invariant_error():
@@ -192,6 +255,18 @@ def test_failed_checks_raise_invariant_error():
         graded_map_entries({(0, 0): Poly.x(2, 1)},
                            GradedFreeBasis(2, (0,), 6),
                            GradedFreeBasis(2, B.gens, 6))
+    # a non-homogeneous entry is an internal error at every site that
+    # reads its degree
+    mixed = Poly.one(2) + Poly.x(2, 1)
+    with pytest.raises(InvariantError, match="entry \\(0, 0\\) not homog"):
+        graded_map_entries({(0, 0): mixed}, GradedFreeBasis(2, (0,), 6),
+                           GradedFreeBasis(2, (0,), 8))
+    with pytest.raises(InvariantError, match="entry \\(0, 0\\) not homog"):
+        BimoduleMap(B, B, {(0, 0): mixed})
+    with pytest.raises(InvariantError, match="x_1 entry \\(0, 0\\) not homog"):
+        Bimodule(2, B.gens, [{(0, 0): mixed}, {(0, 0): -mixed}]).check()
+    with pytest.raises(InvariantError, match="differential entry \\(1, 0\\)"):
+        DiffObject(2, [(0, 2), (0, 0)], {(1, 0): mixed}).check()
     x = Poly.x(2, 1)
     with pytest.raises(InvariantError, match="d\\^2"):
         DiffObject(2, [(0, 4), (0, 2), (0, 0)],
@@ -249,7 +324,10 @@ for build in (lambda: BimoduleMap(B, B, {(0, 0): Poly.one(2),
                                          (1, 1): Poly.x(2, 1)}),
               lambda: graded_map_entries({(0, 0): Poly.x(2, 1)},
                                          GradedFreeBasis(2, (0,), 6),
-                                         GradedFreeBasis(2, B.gens, 6))):
+                                         GradedFreeBasis(2, B.gens, 6)),
+              lambda: graded_map_entries({(0, 0): Poly.one(2) + Poly.x(2, 1)},
+                                         GradedFreeBasis(2, (0,), 6),
+                                         GradedFreeBasis(2, (0,), 8))):
     try:
         build()
     except InvariantError as e:
@@ -258,8 +336,10 @@ for build in (lambda: BimoduleMap(B, B, {(0, 0): Poly.one(2),
 
 
 def test_homogeneity_checks_survive_python_O():
-    # a map mixing degrees 0 and 2, and an entry of degree 2 where the
-    # two slices need 1
+    # a map mixing degrees 0 and 2, an entry of degree 2 where the two
+    # slices need 1, and an entry mixing degrees 0 and 2
     out = run_optimized(OPTIMIZED_HOMOGENEITY)
     assert out.startswith("raised: mixed degrees 0 vs 2 at (1, 1)\n"
-                          "raised: entry (0, 0) has degree 2, needs 1"), out
+                          "raised: entry (0, 0) has degree 2, needs 1\n"
+                          "raised: entry (0, 0) not homogeneous: "
+                          "degrees [0, 2]"), out

@@ -5,7 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidhom.poly import (GradedPiece, Poly, monomial_count, monomials, phi,
+from braidhom.braid import Word
+from braidhom.homology import homfly_homology
+from braidhom.poly import (PIECE_CACHE_SIZE, GradedPiece, Poly, graded_piece,
+                           monomial_count, monomials, phi,
                            power_sum_difference, psi_quotient)
 
 
@@ -97,29 +100,61 @@ def test_monomial_enumeration():
 
 
 def test_graded_piece_roundtrip():
-    gp = GradedPiece(3, 6)
+    gp = graded_piece(3, 6, False)
     assert gp.dim == 4  # monomials of total exponent 3 in 2 vars
+    assert gp.basis == tuple(monomials(2, 3))
     p = Poly.x(3, 1) ** 3 - 2 * Poly.x(3, 1) * Poly.x(3, 2) ** 2
     v = gp.vector(p)
     assert gp.poly(v) == p
-    # odd degrees are empty
-    assert GradedPiece(3, 5).dim == 0
-    assert GradedPiece(2, 0).dim == 1
+    # odd and negative degrees are empty
+    assert graded_piece(3, 5, False).dim == 0
+    assert graded_piece(3, -2, True).dim == 0
+    assert graded_piece(2, 0, False).dim == 1
 
 
-def test_mult_matrix_agrees_with_multiplication():
-    n, d = 3, 4
-    p = Poly.x(n, 1) + 2 * Poly.x(n, 3)
-    src = GradedPiece(n, d)
-    tgt = GradedPiece(n, d + 2)
-    mat = p.mult_matrix(src, tgt)
-    for c, mono in enumerate(src.basis):
-        image = p * Poly(n, {mono: 1})
-        col = [Fraction(0)] * tgt.dim
-        for (r, cc), val in mat.items():
-            if cc == c:
-                col[r] = val
-        assert tgt.poly(col) == image
+def test_shift_tables_index_the_product_monomials():
+    for n, degree, two_sided in ((3, 4, False), (3, 2, True), (1, 0, False)):
+        src = graded_piece(n, degree, two_sided)
+        for k in range(3):
+            tgt = graded_piece(n, degree + 2 * k, two_sided)
+            for e in monomials(len(src.basis[0]), k):
+                rows = src.shift(e)
+                assert src.shift(e) is rows
+                assert [tgt.basis[r] for r in rows] == [
+                    tuple(a + b for a, b in zip(e, m)) for m in src.basis]
+
+
+def test_pipeline_builds_each_piece_once(monkeypatch):
+    # one pipeline call meets each (n, degree, two_sided) piece once; the
+    # slices of every column and map share it
+    real = GradedPiece.__init__
+    built = []
+
+    def counting(self, n, degree, two_sided):
+        built.append((n, degree, two_sided))
+        real(self, n, degree, two_sided)
+
+    monkeypatch.setattr(GradedPiece, "__init__", counting)
+    graded_piece.cache_clear()
+    homfly_homology(Word.parse("2: 1 1 1 1 1"))
+    assert built and len(set(built)) == len(built)
+
+
+def test_piece_cache_stays_bounded():
+    # more distinct one-variable pieces than the cache holds: it evicts,
+    # keeps its bound, and an evicted piece comes back equal
+    graded_piece.cache_clear()
+    first = graded_piece(3, 6, True)
+    rows = first.shift((1, 0, 0, 1))
+    for d in range(0, 2 * (PIECE_CACHE_SIZE + 100), 2):
+        graded_piece(2, d, False)
+    info = graded_piece.cache_info()
+    assert info.misses > PIECE_CACHE_SIZE
+    assert info.currsize <= info.maxsize == PIECE_CACHE_SIZE
+    again = graded_piece(3, 6, True)
+    assert again is not first
+    assert again.basis == first.basis
+    assert again.shift((1, 0, 0, 1)) == rows
 
 
 def test_split_xy():
