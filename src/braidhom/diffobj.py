@@ -37,9 +37,8 @@ class DiffObject:
     def rank(self) -> int:
         return len(self.gens)
 
-    def check(self, dh=None, dq: int = 0, square: bool = True):
-        """Check homogeneity (and optionally d^2 = 0); InvariantError
-        if either fails.
+    def check(self, dh=None, dq: int = 0):
+        """Check homogeneity and d^2 = 0; InvariantError if either fails.
 
         dh: required hdeg drop of the differential (None = don't check);
         dq: required internal degree of the differential.
@@ -53,12 +52,8 @@ class DiffObject:
             if d != dq + qc - qr:
                 raise InvariantError(f"qdeg mismatch at {(r, c)}: "
                                      f"{d} != {dq + qc - qr}")
-        if square and mat_mul(self.diff, self.diff):
+        if mat_mul(self.diff, self.diff):
             raise InvariantError("d^2 != 0")
-
-    def square(self) -> dict:
-        """d composed with itself, for callers that must inspect curvature."""
-        return mat_mul(self.diff, self.diff)
 
     def eliminate(self):
         """Cancel constant pivots of the differential.

@@ -36,6 +36,11 @@ induced_matrix pushes classes for stage two, tower_homology takes the
 word-direction homology, ColumnData holds the columns of one word
 complex, and scan_degrees runs the degree scan.
 
+Every exterior complex comes from one constructor, exterior_column,
+which holds the only remove and add sign rules: the contraction column,
+the folded columns and z_factorization of mfact, and the two-sided
+resolution of koszul_resolution_check.
+
 Stage one is one linalg.SubquotientBasis per slice.  A slice with no
 differential in or out (after simplify, every slice of a contraction
 column) is whole: its classes are the standard basis and expressing a
@@ -174,25 +179,28 @@ def _by_column(m: dict) -> dict:
     return out
 
 
-def exterior_column(M: Bimodule, top: int, c: int,
+def exterior_column(n: int, gens, c: int, removers: dict,
                     adders: dict) -> DiffObject:
-    """M (x) Lambda on the directions 1..top-1.
+    """A free module on generator degrees gens, tensored with the
+    exterior algebra on the directions of removers.
 
-    Generators are labelled (a, J) with a a generator index of M and J a
-    sorted tuple of directions; hdeg |J|, internal degree g_a + c|J|.
-    The differential removes each direction of J with alternating signs
-    through x_j - (right action of x_j), and adds each missing direction
-    j with an entry in adders = {j: matrix} through adders[j], signed by
-    the position j takes in the sorted tuple.
+    Generators are labelled (a, J) with a an index into gens and J a
+    sorted tuple of directions; hdeg |J|, internal degree gens[a] + c|J|.
+    The differential removes each direction j of J with alternating
+    signs through removers[j], and adds each missing direction j with an
+    entry in adders through adders[j], signed by the position j takes in
+    the sorted tuple.  removers and adders map a direction to a matrix
+    on the base module.
     """
-    removers = {j: _by_column(M.action_difference(j)) for j in range(1, top)}
+    dirs = sorted(removers)
+    removers = {j: _by_column(m) for j, m in removers.items()}
     adders = {j: _by_column(m) for j, m in adders.items()}
-    gens, labels, index = [], [], {}
-    for p in range(top):
-        for J in itertools.combinations(range(1, top), p):
-            for a in range(M.rank):
-                index[(a, J)] = len(gens)
-                gens.append((p, M.gens[a] + c * p))
+    degrees, labels, index = [], [], {}
+    for p in range(len(dirs) + 1):
+        for J in itertools.combinations(dirs, p):
+            for a, g in enumerate(gens):
+                index[(a, J)] = len(degrees)
+                degrees.append((p, g + c * p))
                 labels.append((a, J))
     diff: dict = {}
 
@@ -216,16 +224,18 @@ def exterior_column(M: Bimodule, top: int, c: int,
             sgn = sum(1 for l in J if l < jdir) % 2
             for b, q in by_col.get(a, ()):
                 accumulate((index[(b, jext)], col), -q if sgn else q)
-    return DiffObject(M.n, gens, diff, labels)
+    return DiffObject(n, degrees, diff, labels)
 
 
 def koszul_column(M: Bimodule) -> DiffObject:
     """Contraction column of a bimodule: M (x) Lambda(n-1 directions).
 
-    The differential only removes directions, so it drops hdeg by one
-    and preserves the internal degree (each direction has degree 2).
+    The differential only removes directions, through x_j - (right
+    action of x_j), so it drops hdeg by one and preserves the internal
+    degree (each direction has degree 2).
     """
-    return exterior_column(M, M.n, 2, {})
+    return exterior_column(M.n, M.gens, 2, {j: M.action_difference(j)
+                                            for j in range(1, M.n)}, {})
 
 
 def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
@@ -705,30 +715,13 @@ def hochschild_closed_form(n: int, p: int, j: int) -> int:
 # resolution property of the two-sided contraction complex
 
 
-def two_sided_koszul(n: int, top: int) -> DiffObject:
-    """Free contraction complex on x_j - y_j over the two-sided ring,
-    on the directions 1..top-1, labelled by J."""
-    gens, labels, index = [], [], {}
-    for p in range(top):
-        for J in itertools.combinations(range(1, top), p):
-            index[J] = len(gens)
-            gens.append((p, 2 * p))
-            labels.append(J)
-    diff = {}
-    for J, c in index.items():
-        for t, jdir in enumerate(J):
-            jred = J[:t] + J[t + 1:]
-            q = phi(n, jdir)
-            diff[(index[jred], c)] = q if t % 2 == 0 else -q
-    return DiffObject(n, gens, diff, labels)
-
-
 def koszul_resolution_check(n: int, j_max: int = 12):
-    """Check the contraction complex resolves the one-sided ring:
-    degree-j homology has dim S_j at exterior weight 0 and vanishes at
-    positive weights, for all internal degrees up to j_max
-    (InvariantError if not)."""
-    col = two_sided_koszul(n, n)
+    """Check the contraction complex on x_j - y_j over the two-sided
+    ring resolves the one-sided ring: degree-j homology has dim S_j at
+    exterior weight 0 and vanishes at positive weights, for all internal
+    degrees up to j_max (InvariantError if not)."""
+    col = exterior_column(n, [0], 2, {j: {(0, 0): phi(n, j)}
+                                      for j in range(1, n)}, {})
     col.check(dh=-1, dq=0)
     dims = slice_homology(ColumnSlices(col, two_sided=True),
                           range(0, j_max + 1, 2))

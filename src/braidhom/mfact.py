@@ -15,9 +15,13 @@ column is an honest differential object; a bimodule on which the
 potential acts nontrivially raises ValueError; in particular folding
 the wall-crossing extension bimodule succeeds exactly when the
 potential vanishes on it as a polynomial (two strands, N even).  The
-full variant (full=True) keeps all n directions with the plain
-per-strand quotients; it squares to the same potential and serves as
-an independent cross-check of the potential identity.
+fold is built by the one exterior-complex constructor,
+homology.exterior_column, with the contraction column's removers and
+these adders, and one check (_check_potential) compares its square
+with the potential action.  z_factorization folds the free rank-one
+two-sided module the same way; its full variant keeps all n directions
+with the plain per-strand quotients, squares to the same potential and
+is the independent cross-check of the potential identity.
 
 Exterior weight and internal degree collapse to the single grading
 q = internal + c * weight, with c the unique integer making both entry
@@ -63,10 +67,9 @@ from .braid import Word
 from .complexes import rouquier_complex
 from .diffobj import DiffObject
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
-                       exterior_column, scan_bounds, scan_degrees,
-                       two_sided_koszul)
+                       exterior_column, scan_bounds, scan_degrees)
 from .linalg import InvariantError, RowSpace, SubquotientBasis
-from .poly import Poly, power_sum_difference, psi_quotient
+from .poly import Poly, phi, power_sum_difference, psi_quotient
 
 
 def collapse_coefficient(N: int) -> int:
@@ -95,67 +98,48 @@ def direction_quotient(n: int, j: int, N: int, full: bool = False) -> Poly:
     return q - psi_quotient(n, n, N + 1)
 
 
-class MatrixFactorization:
-    """Free two-sided modules on the subsets of the chosen directions,
-    with the odd map d = (remove direction j: multiply by x_j - y_j)
-    + (add direction j: multiply by its quotient); d squared is the
-    potential sum_i (x_i^{N+1} - y_i^{N+1}) times the identity.
-    Reduced (default) uses the n-1 independent directions; full keeps
-    one direction per strand."""
-
-    __slots__ = ("n", "N", "full", "labels", "index", "diff", "potential")
-
-    def __init__(self, n: int, N: int, full: bool = False):
-        assert n >= 1 and N >= 1
-        self.n, self.N, self.full = n, N, full
-        top = n + 1 if full else n
-        self.potential = power_sum_difference(n, N + 1)
-        removal = two_sided_koszul(n, top)
-        self.labels = removal.labels
-        self.index = {J: i for i, J in enumerate(self.labels)}
-        diff = dict(removal.diff)
-        for J, c in self.index.items():
-            for jdir in range(1, top):
-                if jdir in J:
-                    continue
-                jext = tuple(sorted(J + (jdir,)))
-                sgn = sum(1 for l in J if l < jdir) % 2
-                q = direction_quotient(n, jdir, N, self.full)
-                if q:
-                    diff[(self.index[jext], c)] = -q if sgn else q
-        self.diff = diff
-
-    @property
-    def rank(self) -> int:
-        return len(self.labels)
-
-    def check(self):
-        """Check d*d equals the potential times the identity;
-        InvariantError if not."""
-        sq = mat_mul(self.diff, self.diff)
-        expected = {}
-        if self.potential:
-            for i in range(self.rank):
-                expected[(i, i)] = self.potential
-        if not mat_eq(sq, expected):
-            raise InvariantError(
-                "factorization square differs from the potential "
-                f"(n={self.n}, N={self.N})")
-
-    def __repr__(self):
-        return (f"MatrixFactorization(n={self.n}, N={self.N}, "
-                f"full={self.full}, rank={self.rank})")
+def _check_potential(col: DiffObject, potential_action) -> bool:
+    """Check that the square of an exterior column equals the potential
+    action on every (a, J) generator (InvariantError if not); return
+    whether that square is nonzero.  potential_action() gives the action
+    as a matrix on the base module and is called only when the square
+    is nonzero."""
+    sq = mat_mul(col.diff, col.diff)
+    if not sq:
+        return False
+    pot = potential_action()
+    index = {lab: i for i, lab in enumerate(col.labels)}
+    expected = {(index[(b, J)], i): p
+                for i, (a, J) in enumerate(col.labels)
+                for (b, a2), p in pot.items() if a2 == a}
+    if not mat_eq(sq, expected):
+        raise InvariantError("square differs from the potential action")
+    return True
 
 
-def z_factorization(n: int, N: int) -> MatrixFactorization:
-    """The checked rank-2^(n-1) factorization of the skein potential in
-    canonical coordinates (trivial at n=1, where the potential is 0)."""
-    z = MatrixFactorization(n, check_N(N))
-    z.check()
+def z_factorization(n: int, N: int, full: bool = False) -> DiffObject:
+    """The checked factorization of the skein potential
+    sum_i (x_i^{N+1} - y_i^{N+1}) in canonical coordinates: the free
+    two-sided module of rank one, folded like a bimodule column, with
+    removers x_j - y_j and adders direction_quotient.  Reduced (default)
+    keeps the n-1 independent directions, rank 2^(n-1); full keeps one
+    direction per strand and is an independent check of the potential
+    identity.  Trivial at n=1, where the potential is 0."""
+    N = check_N(N)
+    top = n + 1 if full else n
+    z = exterior_column(
+        n, [0], collapse_coefficient(N),
+        {j: {(0, 0): phi(n, j)} for j in range(1, top)},
+        {j: {(0, 0): direction_quotient(n, j, N, full)}
+         for j in range(1, top)})
+    pot = power_sum_difference(n, N + 1)
+    if _check_potential(z, lambda: {(0, 0): pot}) != bool(pot):
+        raise InvariantError("factorization squares to zero, not to the "
+                             "potential")
     return z
 
 
-def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
+def folded_column(M: Bimodule, N: int) -> DiffObject:
     """Folded factorization column of a bimodule, collapsed to one grading.
 
     Generators are labelled (a, J) like the contraction column, with
@@ -165,23 +149,13 @@ def folded_column(M: Bimodule, N: int, full: bool = False) -> DiffObject:
     potential action (InvariantError if it is not).
     """
     n = M.n
-    top = n + 1 if full else n
-    adders = {j: M.two_sided_action(direction_quotient(n, j, N, full))
-              for j in range(1, top)}
-    out = exterior_column(M, top, collapse_coefficient(N), adders)
-    sq = out.square()
-    if sq:
-        pot = M.two_sided_action(power_sum_difference(n, N + 1))
-        index = {lab: i for i, lab in enumerate(out.labels)}
-        expected: dict = {}
-        for col, (a, J) in enumerate(out.labels):
-            for b in range(M.rank):
-                p = pot.get((b, a))
-                if p:
-                    expected[(index[(b, J)], col)] = p
-        if not mat_eq(sq, expected):
-            raise InvariantError(
-                "folded square differs from the potential action")
+    out = exterior_column(
+        n, M.gens, collapse_coefficient(N),
+        {j: M.action_difference(j) for j in range(1, n)},
+        {j: M.two_sided_action(direction_quotient(n, j, N))
+         for j in range(1, n)})
+    if _check_potential(out, lambda: M.two_sided_action(
+            power_sum_difference(n, N + 1))):
         raise ValueError(
             "the potential acts nontrivially on this bimodule for this N: "
             "the folded differential is curved")

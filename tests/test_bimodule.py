@@ -14,7 +14,7 @@ from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
                                merge_projection, split_inclusion, tensor_mat)
 from braidhom.diffobj import DiffObject
 from braidhom.linalg import InvariantError, matrix_rank
-from braidhom.mfact import MatrixFactorization
+from braidhom import mfact
 from braidhom.poly import Poly, graded_piece, phi
 
 
@@ -238,7 +238,7 @@ def test_graded_map_entries_agree_with_multiplication(drawn):
 
 # -- the checks raise InvariantError, also under python -O -------------------
 
-def test_failed_checks_raise_invariant_error():
+def test_failed_checks_raise_invariant_error(monkeypatch):
     # e_0 -> e_0 on S_1 does not commute with the right action of x_2,
     # which sends e_0 to e_1
     B = bs_bimodule(2, 1)
@@ -271,15 +271,22 @@ def test_failed_checks_raise_invariant_error():
     with pytest.raises(InvariantError, match="d\\^2"):
         DiffObject(2, [(0, 4), (0, 2), (0, 0)],
                    {(1, 0): x, (2, 1): x}).check()
-    z = MatrixFactorization(2, 3)
-    z.diff = {key: p + p for key, p in z.diff.items()}
+    # a doubled factorization squares to four times the potential
+    build = mfact.exterior_column
+
+    def doubled(*args):
+        z = build(*args)
+        return DiffObject(z.n, z.gens, {key: p + p
+                                        for key, p in z.diff.items()},
+                          z.labels)
+
+    monkeypatch.setattr(mfact, "exterior_column", doubled)
     with pytest.raises(InvariantError, match="potential"):
-        z.check()
+        mfact.z_factorization(2, 3)
 
 
 def test_folded_curvature_check_raises_invariant_error(monkeypatch):
     # a wrong potential makes the square of a curved fold disagree with it
-    from braidhom import mfact
     E, _maps = aux_bimodules(2, 1)
     monkeypatch.setattr(mfact, "power_sum_difference",
                         lambda n, N: Poly.zero(n, True))
