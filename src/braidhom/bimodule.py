@@ -16,12 +16,20 @@ resolutions; plus the structure maps between them.
 
 Shifts: M.shift(a) raises all generator degrees by a (so elements become
 "more positive"); map degrees are always inferred from the entries.
+
+Matrices are sparse dicts {(row, col): Poly}.  Their products are
+Poly-only: mat_mul adds every term product of one output entry into one
+plain term dict and builds one canonical Poly per entry.  Scalar slice
+matrices (the output of graded_map_entries) are multiplied by
+linalg.mat_mat and linalg.mat_vec.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .linalg import InvariantError
-from .poly import Poly, graded_piece
+from .poly import Poly, add_products, graded_piece
 
 # sparse matrix over S: {(row, col): Poly}
 Mat = dict
@@ -50,20 +58,31 @@ def mat_scale(p, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """(a . b)[i, j] = sum_k a[i, k] b[k, j]."""
+    """(a . b)[i, j] = sum_k a[i, k] b[k, j] for Poly matrices over one
+    ring.  All products of one output entry are added term by term into
+    one plain term dict (poly.add_products), which then becomes one
+    canonical Poly; zero entries are dropped."""
     by_row: dict = {}
     for (k, j), v in b.items():
-        by_row.setdefault(k, []).append((j, v))
-    out: dict = {}
+        by_row.setdefault(k, []).append((j, v.terms))
+    sums: dict = {}
     for (i, k), u in a.items():
-        for j, v in by_row.get(k, ()):
-            key = (i, j)
-            prod = u * v
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return mat_clean(out)
+        for j, terms in by_row.get(k, ()):
+            acc = sums.get((i, j))
+            if acc is None:
+                acc = sums[(i, j)] = {}
+            add_products(acc, u.terms, terms)
+    if not sums:
+        return {}
+    rings = {(p.n, p.two_sided) for p in chain(a.values(), b.values())}
+    assert len(rings) == 1, f"entries over several rings {rings}"
+    (n, two_sided), = rings
+    out: Mat = {}
+    for key, acc in sums.items():
+        p = Poly(n, acc, two_sided)
+        if p:
+            out[key] = p
+    return out
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:

@@ -65,7 +65,7 @@ from .braid import Word
 from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
-from .linalg import InvariantError, SubquotientBasis, matrix_rank
+from .linalg import InvariantError, SubquotientBasis, mat_mat, matrix_rank
 from .poly import graded_piece, phi
 
 
@@ -258,22 +258,19 @@ def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
 # A slicer cuts one column into finite-dimensional slices keyed sigma and
 # answers sigmas(deg), dim(sigma), next(sigma) / prev(sigma) (the slices
 # the column differential maps sigma to and from), diff(sigma) (that
-# differential, in slice coordinates) and cross(map, other, sigma) (the
-# slice block of a degree-0 map from this column to another column).
-
-
-def _restrict(mat: dict, pos_s, pos_t) -> dict:
-    """Entries of mat between two generator groups, reindexed locally."""
-    return {(pos_t[r], pos_s[c]): p for (r, c), p in mat.items()
-            if c in pos_s and r in pos_t}
+# differential, in slice coordinates) and cross(parts, other, sigma)
+# (the slice block of a degree-0 map from this column to another column,
+# cut into parts once by split(map, other)).
 
 
 class ColumnSlices:
     """Contraction slicer, keyed sigma = (p, j): exterior weight p and
     internal degree j.  The differential maps (p, j) to (p - 1, j).
-    Bases and differential blocks are cached."""
+    Bases and differential blocks are cached, and the differential is
+    split by generator groups once."""
 
-    __slots__ = ("col", "groups", "two_sided", "_bases", "_mats", "_pos")
+    __slots__ = ("col", "groups", "two_sided", "_bases", "_mats", "_where",
+                 "_diff")
 
     def __init__(self, col: DiffObject, two_sided: bool = False):
         self.col = col
@@ -281,10 +278,11 @@ class ColumnSlices:
         self.groups: dict = {}
         for idx, (h, _q) in enumerate(col.gens):
             self.groups.setdefault(h, []).append(idx)
-        self._pos = {h: {g: i for i, g in enumerate(ids)}
-                     for h, ids in self.groups.items()}
+        self._where = {g: (h, i) for h, ids in self.groups.items()
+                       for i, g in enumerate(ids)}
         self._bases: dict = {}
         self._mats: dict = {}
+        self._diff = self.split(col.diff, self)
 
     def sigmas(self, deg: int) -> list:
         return [(p, deg) for p in self.groups]
@@ -313,26 +311,37 @@ class ColumnSlices:
         b = self.basis(*sigma)
         return b.dim if b is not None else 0
 
-    def _block(self, mat: dict, other: "ColumnSlices", src, tgt) -> dict:
-        """Scalar block of a poly matrix from slice src of this column
-        to slice tgt of other."""
+    def split(self, mat: dict, other: "ColumnSlices") -> dict:
+        """A poly matrix from this column to other, cut into its blocks
+        between generator groups: {(source group, target group): entries
+        reindexed within the two groups}."""
+        parts: dict = {}
+        for (r, c), p in mat.items():
+            hs, cs = self._where[c]
+            ht, rt = other._where[r]
+            parts.setdefault((hs, ht), {})[(rt, cs)] = p
+        return parts
+
+    def _block(self, parts: dict, other: "ColumnSlices", src, tgt) -> dict:
+        """Scalar block of a split poly matrix from slice src of this
+        column to slice tgt of other."""
         bs, bt = self.basis(*src), other.basis(*tgt)
-        if bs is None or bt is None or bs.dim == 0 or bt.dim == 0:
+        loc = parts.get((src[0], tgt[0]))
+        if not loc or bs is None or bt is None or bs.dim == 0 or bt.dim == 0:
             return {}
-        loc = _restrict(mat, self._pos[src[0]], other._pos[tgt[0]])
         return graded_map_entries(loc, bs, bt)
 
     def matrix(self, src, tgt) -> dict:
         """Scalar matrix of the column differential between two slices."""
         if (src, tgt) not in self._mats:
-            self._mats[(src, tgt)] = self._block(self.col.diff, self, src, tgt)
+            self._mats[(src, tgt)] = self._block(self._diff, self, src, tgt)
         return self._mats[(src, tgt)]
 
     def diff(self, sigma) -> dict:
         return self.matrix(sigma, self.next(sigma))
 
-    def cross(self, mat: dict, other: "ColumnSlices", sigma) -> dict:
-        return self._block(mat, other, sigma, sigma)
+    def cross(self, parts: dict, other: "ColumnSlices", sigma) -> dict:
+        return self._block(parts, other, sigma, sigma)
 
 
 class FoldedSlices:
@@ -398,10 +407,13 @@ class FoldedSlices:
                             (-1, 1), lambda p, pt: self.sl.matrix(
                                 (p, sigma[0]), (pt, nxt[0])))
 
-    def cross(self, mat: dict, other: "FoldedSlices", sigma) -> dict:
+    def split(self, mat: dict, other: "FoldedSlices") -> dict:
+        return self.sl.split(mat, other.sl)
+
+    def cross(self, parts: dict, other: "FoldedSlices", sigma) -> dict:
         return self._blocks(self.offsets(sigma)[0], other.offsets(sigma)[0],
                             (0,), lambda p, _pt: self.sl.cross(
-                                mat, other.sl, (p, sigma[0])))
+                                parts, other.sl, (p, sigma[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +494,9 @@ def _cleared(m: dict) -> dict:
 
 
 def _compose(m2: dict, m1: dict) -> dict:
-    by_col = _by_column(m2)
-    out: dict = {}
-    for (r1, c1), v1 in m1.items():
-        for r2, v2 in by_col.get(r1, ()):
-            key = (r2, c1)
-            cur = out.get(key)
-            out[key] = v2 * v1 if cur is None else cur + v2 * v1
-    return {k: v for k, v in out.items() if v}
+    """m2 after m1; its own name so that traces time the tower's
+    d^2 = 0 checks apart from other products."""
+    return mat_mat(m2, m1)
 
 
 def tower_homology(dims: dict, mats: dict) -> dict:
@@ -517,8 +524,9 @@ def tower_homology(dims: dict, mats: dict) -> dict:
 
 
 class ColumnData:
-    """Columns of a word complex, its differentials extended to them,
-    one slicer per column, and the two stages per slice.
+    """Columns of a word complex, its differentials extended to them
+    (kmaps, each split once by its source slicer), one slicer per
+    column, and the two stages per slice.
 
     N = None builds contraction columns sliced by (p, j); a positive N
     builds folded columns (mfact.folded_column) sliced by (q, parity).
@@ -563,9 +571,11 @@ class ColumnData:
                 col.check(dh=-1, dq=0)
             else:
                 col.check(dh=None, dq=N + 1)
-        self.cols, self.kmaps = cols, kmaps
+        self.cols = cols
         self.slicers = {k: ColumnSlices(col) if N is None
                         else FoldedSlices(col, N) for k, col in cols.items()}
+        self.kmaps = {k: self.slicers[k].split(m, self.slicers[k + 1])
+                      for k, m in kmaps.items()}
 
     def sigmas(self, deg: int) -> list:
         """Slice keys of all columns at one scanned degree, sorted."""

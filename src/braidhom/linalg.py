@@ -7,8 +7,9 @@ by a gcd reduction), which keeps entries small without ever leaving
 exact arithmetic.  Row operations are recorded so a factored matrix can be
 reused for many right-hand sides.
 
-Matrices enter as lists of sparse rows {col: coeff}; vectors are plain
-lists.  Coefficients are ints or Fractions: the polynomial layer hands
+Matrices enter as lists of sparse rows {col: coeff} or as entry dicts
+{(row, col): coeff}, which mat_vec and mat_mat multiply; vectors are
+plain lists.  Coefficients are ints or Fractions: the polynomial layer hands
 in canonical values (rational.py: an int when integral), so most
 arithmetic stays on ints, and every division goes through
 rational.quotient, so no float can arise.
@@ -213,6 +214,19 @@ def mat_vec(entries: dict, vec, nrows: int):
         if vec[c]:
             out[r] += v * vec[c]
     return out
+
+
+def mat_mat(a: dict, b: dict) -> dict:
+    """(a . b)[i, j] = sum_k a[i, k] b[k, j] for scalar matrices
+    {(row, col): coeff}; zero entries are dropped."""
+    by_row: dict = {}
+    for (k, j), v in b.items():
+        by_row.setdefault(k, []).append((j, v))
+    out: dict = {}
+    for (i, k), u in a.items():
+        for j, v in by_row.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + u * v
+    return {key: v for key, v in out.items() if v}
 
 
 class RowSpace:

@@ -13,6 +13,8 @@ coefficient an exact rational in the canonical form of rational.py (an
 int when integral, a Fraction otherwise); exponent tuples
 have length n-1 (one-sided) or 2(n-1) (two-sided, x-block then y-block).
 For n = 1 the only monomial is the empty tuple and polys are constants.
+add_products is the one multiply-accumulate loop of the package:
+Poly.__mul__ and the matrix product bimodule.mat_mul both run it.
 """
 
 from __future__ import annotations
@@ -123,12 +125,8 @@ class Poly:
             return Poly(self.n, {m: c * other for m, c in self.terms.items()},
                         self.two_sided)
         self._compat(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly(self.n, terms, self.two_sided)
+        return Poly(self.n, add_products({}, self.terms, other.terms),
+                    self.two_sided)
 
     __rmul__ = __mul__
 
@@ -208,6 +206,19 @@ class Poly:
             else:
                 bits.append(str(c))
         return " + ".join(bits)
+
+
+def add_products(acc: dict, terms1: dict, terms2: dict) -> dict:
+    """Add c1 * c2 into acc at m1 + m2 for every term m1: c1 of terms1
+    and m2: c2 of terms2, and return acc; the one polynomial product.
+    acc is a plain {exponent tuple: coefficient} dict: the caller turns
+    it into a Poly, which canonicalizes and drops the zero terms."""
+    get = acc.get
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = get(mono, 0) + c1 * c2
+    return acc
 
 
 def monomials(nvars: int, total: int):

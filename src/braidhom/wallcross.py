@@ -71,15 +71,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bimodule import mat_add, mat_mul
+from .bimodule import mat_mul
 from .braid import NEG, POS, SING, Word
 from .complexes import (BComplex, ChainMap, crossing_change_ses,
                         letter_complex, tensor, tensor_chain_maps)
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
                        column_map, grading_shift, scan_bounds, scan_degrees,
                        tower_homology)
-from .linalg import (Echelon, InvariantError, mat_vec, matrix_rank,
-                     rows_from_entries)
+from .linalg import (Echelon, InvariantError, mat_mat, mat_vec,
+                     matrix_rank, rows_from_entries)
 from .poly import monomial_count
 from .rational import exact, quotient
 
@@ -124,7 +124,7 @@ def extension_realization(n: int, i: int, scale=1,
     pi.check()
     degrees = sorted(set(X.degrees) | set(E.degrees) | set(Y1.degrees))
     for k in degrees:
-        if any(mat_mul(pi.comp_mat(k), iota.comp_mat(k)).values()):
+        if mat_mul(pi.comp_mat(k), iota.comp_mat(k)):
             raise InvariantError("projection after inclusion is nonzero")
     for k in degrees:
         gens = [C.objs[k].gens if k in C.objs else () for C in (X, Y1, E)]
@@ -201,9 +201,9 @@ class _CubeColumns(ColumnData):
 
 class _Edge:
     """Wall-crossing data for flipping one singular slot at one vertex:
-    the middle word complex, the column-level structure maps, the
-    factored slice blocks no snake has used yet, and the cached
-    connecting maps per slice."""
+    the middle word complex, the column-level structure maps (split by
+    their source slicers), the factored slice blocks no snake has used
+    yet, and the cached connecting maps per slice."""
 
     __slots__ = ("tgt_key", "src", "tgt", "mid", "iota_cols", "pi_cols",
                  "_w", "_unused")
@@ -229,8 +229,8 @@ class _Edge:
         out = {key: self.w(*key) for key in src.populated()}
         self._unused.clear()
         for (k, sigma), wm in out.items():
-            lhs = mat_mul(self.w(k + 1, sigma), src.induced_kmap(k, sigma))
-            rhs = mat_mul(self.tgt.induced_kmap(k, src.next(sigma)), wm)
+            lhs = mat_mat(self.w(k + 1, sigma), src.induced_kmap(k, sigma))
+            rhs = mat_mat(self.tgt.induced_kmap(k, src.next(sigma)), wm)
             if lhs != rhs:
                 raise InvariantError(
                     "wall-crossing map does not commute with the induced "
@@ -259,7 +259,7 @@ class _Edge:
                 (de != dx + dy, "slice ranks are not exact"),
                 (pi.rank != dy, "projection is not onto"),
                 (iota.rank != dx, "inclusion is not injective"),
-                (mat_mul(pi_m, io_m),
+                (mat_mat(pi_m, io_m),
                  "projection after inclusion is nonzero")):
             if failed:
                 raise InvariantError(f"{what} at step {k}, slice {sigma}")
@@ -371,10 +371,12 @@ def _make_edge(cube: _Cube, eps, t: int, N) -> _Edge:
             "the folded wall-crossing columns do not exist here "
             "(the potential must vanish on the extension bimodule): "
             + str(e)) from e
-    iota_cols = {k: column_map(iota.comp_mat(k), tgt.cols[k], mid.cols[k])
-                 for k in mid.degrees}
-    pi_cols = {k: column_map(pi.comp_mat(k), mid.cols[k], src.cols[k])
-               for k in mid.degrees}
+    iota_cols = {k: tgt.slicers[k].split(
+        column_map(iota.comp_mat(k), tgt.cols[k], mid.cols[k]),
+        mid.slicers[k]) for k in mid.degrees}
+    pi_cols = {k: mid.slicers[k].split(
+        column_map(pi.comp_mat(k), mid.cols[k], src.cols[k]),
+        src.slicers[k]) for k in mid.degrees}
     return _Edge(tgt_key, src, tgt, mid, iota_cols, pi_cols)
 
 
@@ -470,8 +472,9 @@ def _check_faces(cube: _Cube):
             data = cube.vertices[eps]
             for k, sigma in data.populated():
                 sigma2 = data.next(sigma)
-                if mat_add(mat_mul(e_tu.w(k, sigma2), e_t.w(k, sigma)),
-                           mat_mul(e_ut.w(k, sigma2), e_u.w(k, sigma))):
+                path_t = mat_mat(e_tu.w(k, sigma2), e_t.w(k, sigma))
+                path_u = mat_mat(e_ut.w(k, sigma2), e_u.w(k, sigma))
+                if path_t != {key: -v for key, v in path_u.items()}:
                     raise InvariantError(
                         f"cube face ({t},{u}) fails to anticommute at step "
                         f"{k}, slice {sigma}")

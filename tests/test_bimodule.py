@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
                                aux_bimodules, bs_bimodule, extension_bimodule,
@@ -236,6 +236,86 @@ def test_graded_map_entries_agree_with_multiplication(drawn):
             graded_map_entries({**mat, (0, b): wrong}, src, tgt)
 
 
+# -- the fused matrix product -------------------------------------------------
+
+def reference_poly_mul(p: Poly, q: Poly) -> Poly:
+    """A product of two polys by its own double loop over their terms,
+    independent of poly.add_products."""
+    terms: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+    return Poly(p.n, terms, p.two_sided)
+
+
+def reference_mat_mul(a: dict, b: dict) -> dict:
+    """A product of two poly matrices: one Poly per entry product, added
+    up with Poly.__add__, zero entries dropped."""
+    out: dict = {}
+    for (i, k), u in a.items():
+        for (k2, j), v in b.items():
+            if k2 == k:
+                prod = reference_poly_mul(u, v)
+                out[(i, j)] = out[(i, j)] + prod if (i, j) in out else prod
+    return {key: p for key, p in out.items() if p}
+
+
+@st.composite
+def poly_matrix_pairs(draw):
+    """Two poly matrices over one ring (n = 1, 2 or 3, one- or
+    two-sided) of at most 3 x 3 entries each, possibly empty, with
+    one to three terms per entry and half-integer coefficients, so that
+    products of halves can add up to integers.  A middle index k is
+    then doubled at random: a gets a copy of its column k and b the
+    negation of its row k, which leaves the product unchanged and makes
+    every entry that only k reaches cancel to zero."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    two_sided = draw(st.booleans())
+    nvars = 2 * (n - 1) if two_sided else n - 1
+    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    coef = st.fractions(-2, 2, max_denominator=2).filter(bool)
+    poly = st.dictionaries(mono, coef, min_size=1, max_size=3).map(
+        lambda terms: Poly(n, terms, two_sided))
+    rows, mid, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    # each operand is empty about one time in ten
+    a, b = ({} if draw(st.integers(0, 9)) == 9 else draw(st.dictionaries(
+        st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)), poly,
+        min_size=1)) for nr, nc in ((rows, mid), (mid, cols)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, mid - 1))
+        a.update({(i, mid): u for (i, kk), u in list(a.items()) if kk == k})
+        b.update({(mid, j): -v for (kk, j), v in list(b.items()) if kk == k})
+    return a, b
+
+
+X1, HALF = Poly.x(2, 1), Fraction(1, 2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(poly_matrix_pairs())
+# n = 1: constants, whose one monomial is the empty tuple
+@example(({(0, 0): Poly.const(1, 3)}, {(0, 1): Poly.const(1, 3)}))
+# halves adding up to the integer 1 at (0, 0) and to 0 at (0, 1)
+@example(({(0, 0): HALF * X1, (0, 1): HALF * X1},
+          {(0, 0): X1, (1, 0): X1, (0, 1): X1, (1, 1): -X1}))
+# two-sided entries, and an empty operand on either side
+@example(({(0, 0): phi(2, 1)}, {(0, 0): phi(2, 1)}))
+@example(({}, {(0, 0): phi(2, 1)}))
+@example(({(0, 0): phi(2, 1)}, {}))
+def test_fused_product_matches_the_poly_by_poly_reference(pair):
+    a, b = pair
+    got = mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    for p in got.values():
+        # a nonzero Poly with canonical coefficients: an int whenever
+        # the sum of Fraction products is integral
+        assert p and all(c and (type(c) is int if c.denominator == 1
+                                else type(c) is Fraction)
+                         for c in p.terms.values()), p.terms
+
+
 # -- the checks raise InvariantError, also under python -O -------------------
 
 def test_failed_checks_raise_invariant_error(monkeypatch):
@@ -292,6 +372,36 @@ def test_folded_curvature_check_raises_invariant_error(monkeypatch):
                         lambda n, N: Poly.zero(n, True))
     with pytest.raises(InvariantError, match="potential action"):
         mfact.folded_column(E, 3)
+
+
+OPTIMIZED_POTENTIAL = """
+from braidhom import mfact
+from braidhom.bimodule import aux_bimodules
+from braidhom.linalg import InvariantError
+from braidhom.poly import Poly, power_sum_difference
+assert False, "asserts must be stripped"
+# the true factorization against twice its potential
+z = mfact.z_factorization(2, 3)
+wrong = power_sum_difference(2, 4) * 2
+try:
+    mfact._check_potential(z, lambda: {(0, 0): wrong})
+except InvariantError as e:
+    print("raised:", e)
+# a curved fold against the zero potential
+mfact.power_sum_difference = lambda n, N: Poly.zero(n, True)
+E, _maps = aux_bimodules(2, 1)
+try:
+    mfact.folded_column(E, 3)
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_potential_check_survives_python_O():
+    out = run_optimized(OPTIMIZED_POTENTIAL)
+    assert out.startswith("raised: square differs from the potential action\n"
+                          "raised: square differs from the potential action\n"
+                          ), out
 
 
 OPTIMIZED_INTERTWINING = """

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 from braidhom.bimodule import mat_eq, mat_mul
 from braidhom.diffobj import DiffObject, conjugate

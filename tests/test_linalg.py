@@ -7,10 +7,10 @@ from hypothesis import Phase, given, settings, strategies as st
 from braidhom import mfact
 from braidhom.braid import Word
 from braidhom.complexes import rouquier_complex
-from braidhom.homology import (ColumnData, DegreeWindow, induced_matrix,
-                               scan_bounds, slice_subquotient)
+from braidhom.homology import (ColumnData, DegreeWindow, _compose,
+                               induced_matrix, scan_bounds, slice_subquotient)
 from braidhom.linalg import (Echelon, InvariantError, RowSpace,
-                             SubquotientBasis, mat_vec, matrix_rank,
+                             SubquotientBasis, mat_mat, mat_vec, matrix_rank,
                              rows_from_entries)
 
 
@@ -97,6 +97,41 @@ def test_solve_empty_shapes():
     # zero rows: everything is kernel
     ech = Echelon([], 3)
     assert len(ech.kernel_basis()) == 3
+
+
+def reference_compose(m2: dict, m1: dict) -> dict:
+    """m2 after m1 as homology._compose computed it on its own: m1 entry
+    by entry against the columns of m2."""
+    by_col: dict = {}
+    for (r, c), v in m2.items():
+        by_col.setdefault(c, []).append((r, v))
+    out: dict = {}
+    for (r1, c1), v1 in m1.items():
+        for r2, v2 in by_col.get(r1, ()):
+            out[(r2, c1)] = out.get((r2, c1), 0) + v2 * v1
+    return {k: v for k, v in out.items() if v}
+
+
+def test_scalar_product_matches_compose():
+    # mixed int/Fraction sparse matrices; doubling the middle index with
+    # a copied column of a and a negated row of b cancels the product
+    rng = random.Random(7)
+    for _ in range(60):
+        nr, nk, nc = (rng.randrange(0, 5) for _ in range(3))
+        a = {key: int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+             for key, v in to_entries(random_dense(rng, nr, nk, 0.4)).items()}
+        b = {key: int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+             for key, v in to_entries(random_dense(rng, nk, nc, 0.4)).items()}
+        dense = [[sum((a.get((i, k), 0) * b.get((k, j), 0)
+                       for k in range(nk)), Fraction(0))
+                  for j in range(nc)] for i in range(nr)]
+        got = mat_mat(a, b)
+        assert got == to_entries(dense) == reference_compose(a, b)
+        assert got == _compose(a, b)
+        a2 = {**a, **{(i, k + nk): v for (i, k), v in a.items()}}
+        b2 = {**b, **{(k + nk, j): -v for (k, j), v in b.items()}}
+        assert mat_mat(a2, b2) == {} == _compose(a2, b2)
+    assert mat_mat({}, {(0, 0): 1}) == {} == mat_mat({(0, 0): 1}, {})
 
 
 def test_rowspace_membership():
