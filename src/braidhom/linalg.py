@@ -2,9 +2,11 @@
 
 Everything the homology pipeline needs reduces to ranks, kernels, and
 solves of sparse matrices with exact rational entries.  Rows are cleared
-to integers and eliminated fraction-free (cross-multiplication followed
-by a gcd reduction), which keeps entries small without ever leaving
-exact arithmetic.  Row operations are recorded so a factored matrix can be
+to integers and eliminated fraction-free (cross-multiplication, skipped
+for a unit pivot, followed by a gcd reduction), which keeps entries small
+without ever leaving exact arithmetic.  Rows are bucketed by leading
+column, so a pivot meets only the rows that column leads, never a scan
+of the others.  Row operations are recorded so a factored matrix can be
 reused for many right-hand sides.
 
 Matrices enter as lists of sparse rows {col: coeff} or as entry dicts
@@ -28,6 +30,7 @@ raised explicitly, so the checks also run under python -O.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .rational import quotient
@@ -77,10 +80,15 @@ def _scaled_int_row(row: dict):
 class Echelon:
     """Fraction-free row echelon form with replayable row operations.
 
-    Pivoting is deterministic: columns are scanned left to right and the
-    first remaining row with a nonzero entry is promoted.  The recorded
-    operation log lets solve() transform arbitrary right-hand sides
-    exactly as the matrix rows were transformed.
+    Rows are bucketed by their leading (first nonzero) column, and the
+    columns are taken in ascending order.  Among the rows a column leads,
+    the first with a unit (+-1) entry there is promoted, or else the first
+    one; the column is eliminated from the other rows of its bucket only,
+    and each reduced row moves to the bucket of its new leading column.
+    Rows are never swapped: a pivot is a (row, col) pair, in ascending
+    column order, and the rows that are or become zero are listed.  The
+    recorded operation log lets solve() transform arbitrary right-hand
+    sides exactly as the matrix rows were transformed.
     """
 
     def __init__(self, rows, ncols: int):
@@ -92,48 +100,70 @@ class Echelon:
             irow, s = _scaled_int_row(row)
             work.append(irow)
             self.scales.append(s)
-        self.ops = []  # ("swap", i, j) | ("axpy", i, r, piv, v, g)
+        self.ops = []  # (i, p, piv, v, g): row i <- (piv row i - v row p) / g
         self.rows = work
-        self.pivots = []  # list of (row, col)
+        self.pivots = []  # list of (row, col), columns ascending
+        self.zero_rows = []
         self._eliminate()
 
     def _eliminate(self):
-        work = self.rows
-        r = 0
-        for col in range(self.ncols):
-            if r == len(work):
-                break
-            sel = None
-            for i in range(r, len(work)):
-                if work[i].get(col):
-                    sel = i
+        work, ops, zero_rows = self.rows, self.ops, self.zero_rows
+        buckets: dict = {}  # leading column -> rows it leads
+        for i, row in enumerate(work):
+            if row:
+                buckets.setdefault(min(row), []).append(i)
+            else:
+                zero_rows.append(i)
+        heap = list(buckets)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            bucket = buckets.pop(col)
+            p = bucket[0]
+            for i in bucket:
+                if work[i][col] in (1, -1):
+                    p = i
                     break
-            if sel is None:
-                continue
-            if sel != r:
-                work[r], work[sel] = work[sel], work[r]
-                self.ops.append(("swap", r, sel))
-            piv = work[r][col]
-            for i in range(r + 1, len(work)):
-                v = work[i].get(col)
-                if not v:
+            self.pivots.append((p, col))
+            prow = work[p]
+            piv = prow[col]
+            unit = piv in (1, -1)
+            for i in bucket:
+                if i == p:
                     continue
-                new = {}
-                for c, val in work[i].items():
-                    new[c] = piv * val
-                for c, val in work[r].items():
-                    new[c] = new.get(c, 0) - v * val
-                new = {c: val for c, val in new.items() if val}
+                row = work[i]
+                v = row[col]
+                if unit:
+                    # row - (v / piv) prow, logged as 1 row - (v piv) prow
+                    v *= piv
+                    new = dict(row)
+                else:
+                    new = {c: piv * val for c, val in row.items()}
+                for c, val in prow.items():
+                    x = new.get(c, 0) - v * val
+                    if x:
+                        new[c] = x
+                    else:
+                        del new[c]
                 g = 0
                 for val in new.values():
                     g = gcd(g, val)
+                    if g == 1:
+                        break
                 g = max(g, 1)
                 if g > 1:
                     new = {c: val // g for c, val in new.items()}
                 work[i] = new
-                self.ops.append(("axpy", i, r, piv, v, g))
-            self.pivots.append((r, col))
-            r += 1
+                ops.append((i, p, 1 if unit else piv, v, g))
+                if new:
+                    lead = min(new)
+                    if lead in buckets:
+                        buckets[lead].append(i)
+                    else:
+                        buckets[lead] = [i]
+                        heappush(heap, lead)
+                else:
+                    zero_rows.append(i)
 
     @property
     def rank(self) -> int:
@@ -142,16 +172,14 @@ class Echelon:
     def _transform_rhs(self, b):
         """Replay the recorded row operations on a right-hand side."""
         w = [v * s if v else 0 for v, s in zip(b, self.scales)]
-        for op in self.ops:
-            if op[0] == "swap":
-                _, i, j = op
-                w[i], w[j] = w[j], w[i]
-            else:
-                _, i, r, piv, v, g = op
-                if w[i] or w[r]:
-                    w[i] = piv * w[i] - v * w[r]
-                    if g != 1:
-                        w[i] = quotient(w[i], g)
+        for i, p, piv, v, g in self.ops:
+            wi, wp = w[i], w[p]
+            if wi or wp:
+                if piv != 1:
+                    wi = piv * wi
+                if wp:
+                    wi -= v * wp
+                w[i] = wi if g == 1 else quotient(wi, g)
         return w
 
     def solve(self, b):
@@ -163,7 +191,7 @@ class Echelon:
             raise InvariantError(f"right-hand side of length {len(b)} for "
                                  f"{self.nrows} rows")
         w = self._transform_rhs(b)
-        for i in range(self.rank, self.nrows):
+        for i in self.zero_rows:
             if w[i]:
                 return None
         return self._back_substitute([0] * self.ncols, w)
@@ -222,11 +250,15 @@ def mat_mat(a: dict, b: dict) -> dict:
     by_row: dict = {}
     for (k, j), v in b.items():
         by_row.setdefault(k, []).append((j, v))
-    out: dict = {}
+    rows: dict = {}  # i -> {j: sum}
     for (i, k), u in a.items():
-        for j, v in by_row.get(k, ()):
-            out[(i, j)] = out.get((i, j), 0) + u * v
-    return {key: v for key, v in out.items() if v}
+        bk = by_row.get(k)
+        if bk:
+            acc = rows.setdefault(i, {})
+            for j, v in bk:
+                acc[j] = acc.get(j, 0) + u * v
+    return {(i, j): v for i, acc in rows.items() for j, v in acc.items()
+            if v}
 
 
 class RowSpace:

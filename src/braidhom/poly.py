@@ -43,7 +43,8 @@ class Poly:
                 if type(c) is not int:
                     c = exact(c)
                 if c:
-                    mono = tuple(mono)
+                    if type(mono) is not tuple:
+                        mono = tuple(mono)
                     assert len(mono) == m, (mono, m)
                     clean[mono] = c
         self.terms = clean

@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from braidhom import mfact
 from braidhom.braid import Word
@@ -10,8 +14,9 @@ from braidhom.complexes import rouquier_complex
 from braidhom.homology import (ColumnData, DegreeWindow, _compose,
                                induced_matrix, scan_bounds, slice_subquotient)
 from braidhom.linalg import (Echelon, InvariantError, RowSpace,
-                             SubquotientBasis, mat_mat, mat_vec, matrix_rank,
-                             rows_from_entries)
+                             SubquotientBasis, _scaled_int_row, mat_mat,
+                             mat_vec, matrix_rank, rows_from_entries)
+from braidhom.rational import quotient
 
 
 def naive_rref_rank(dense):
@@ -344,6 +349,191 @@ def test_solve_length_check_raises_invariant_error():
     ech = Echelon(rows_from_entries({(0, 0): Fraction(1)}, 2), 1)
     with pytest.raises(InvariantError):
         ech.solve([Fraction(1)])
+
+
+OPTIMIZED_SOLVE = """
+from braidhom.linalg import Echelon, InvariantError
+assert False, "asserts must be stripped"
+try:
+    Echelon([{0: 1}, {}], 1).solve([1])
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_solve_length_check_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SOLVE],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.startswith("raised: right-hand side of length 1 for "
+                                  "2 rows"), done.stdout + done.stderr
+
+
+# -- the echelon form, against the left-to-right scan -------------------------
+
+class ScanEchelon:
+    """The reference echelon form: columns are scanned left to right,
+    the first remaining row with a nonzero entry is swapped up and
+    eliminated from every row below it."""
+
+    def __init__(self, rows, ncols: int):
+        self.ncols = ncols
+        self.nrows = len(rows)
+        self.scales = []
+        self.rows = []
+        for row in rows:
+            irow, s = _scaled_int_row(row)
+            self.rows.append(irow)
+            self.scales.append(s)
+        self.ops = []  # ("swap", i, j) | ("axpy", i, r, piv, v, g)
+        self.pivots = []  # list of (row, col)
+        work, r = self.rows, 0
+        for col in range(ncols):
+            if r == len(work):
+                break
+            sel = next((i for i in range(r, len(work)) if work[i].get(col)),
+                       None)
+            if sel is None:
+                continue
+            if sel != r:
+                work[r], work[sel] = work[sel], work[r]
+                self.ops.append(("swap", r, sel))
+            piv = work[r][col]
+            for i in range(r + 1, len(work)):
+                v = work[i].get(col)
+                if not v:
+                    continue
+                new = {c: piv * val for c, val in work[i].items()}
+                for c, val in work[r].items():
+                    new[c] = new.get(c, 0) - v * val
+                new = {c: val for c, val in new.items() if val}
+                g = 0
+                for val in new.values():
+                    g = gcd(g, val)
+                g = max(g, 1)
+                if g > 1:
+                    new = {c: val // g for c, val in new.items()}
+                work[i] = new
+                self.ops.append(("axpy", i, r, piv, v, g))
+            self.pivots.append((r, col))
+            r += 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def free(self) -> list:
+        piv = {col for _, col in self.pivots}
+        return [c for c in range(self.ncols) if c not in piv]
+
+    def solve(self, b):
+        w = [v * s if v else 0 for v, s in zip(b, self.scales)]
+        for op in self.ops:
+            if op[0] == "swap":
+                _, i, j = op
+                w[i], w[j] = w[j], w[i]
+            else:
+                _, i, r, piv, v, g = op
+                if w[i] or w[r]:
+                    w[i] = piv * w[i] - v * w[r]
+                    if g != 1:
+                        w[i] = quotient(w[i], g)
+        if any(w[self.rank:]):
+            return None
+        return self._back_substitute([0] * self.ncols, w)
+
+    def _back_substitute(self, x, w):
+        for r, col in reversed(self.pivots):
+            row = self.rows[r]
+            acc = 0 if w is None else w[r]
+            for c, val in row.items():
+                if c > col and x[c]:
+                    acc -= val * x[c]
+            if acc:
+                x[col] = quotient(acc, row[col])
+        return x
+
+    def kernel_basis(self, cols=None):
+        basis = []
+        for f in self.free if cols is None else cols:
+            x = [0] * self.ncols
+            x[f] = 1
+            basis.append(self._back_substitute(x, None))
+        return basis
+
+
+def typed(vec):
+    """A vector as (type, value) pairs, so an int and an equal Fraction
+    differ; None stays None."""
+    return None if vec is None else [(type(v), v) for v in vec]
+
+
+ECHELON_VALUES = st.sampled_from([1, -1, 2, -3, 4, Fraction(1, 2),
+                                  Fraction(-3, 4), Fraction(5, 3),
+                                  Fraction(-2), Fraction(1)])
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ncols, rows, x0, b, mask): sparse int/Fraction rows, some of them
+    zero or copied, added or subtracted from others; a point x0, a free
+    right-hand side b and a mask choosing free columns."""
+    nr, nc = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    rows = [draw(st.dictionaries(st.integers(0, nc - 1), ECHELON_VALUES,
+                                 max_size=4)) if nc else {}
+            for _ in range(nr)]
+    if nr:
+        idx = st.integers(0, nr - 1)
+        for dst, a, b, s in draw(st.lists(st.tuples(
+                idx, idx, idx, st.sampled_from([0, 1, -1, 2])), max_size=6)):
+            row = dict(rows[a])
+            for c, v in rows[b].items():
+                row[c] = row.get(c, 0) + s * v
+            rows[dst] = {c: v for c, v in row.items() if v}
+    x0 = draw(st.lists(ECHELON_VALUES | st.just(0), min_size=nc, max_size=nc))
+    b = draw(st.lists(st.sampled_from([0, 0, 1, -2]) | ECHELON_VALUES,
+                      min_size=nr, max_size=nr))
+    mask = draw(st.lists(st.booleans(), min_size=nc, max_size=nc))
+    return nc, rows, x0, b, mask
+
+
+# no shrink phase: a failing case is already small enough to read
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@example((0, [], [], [], []))
+@example((3, [], [1, 0, 2], [], [True, False, True]))
+@example((0, [{}, {}], [], [1, 0], []))
+@example((2, [{}, {0: 2, 1: 4}, {}], [1, 1], [0, 3, 0], [True, True]))
+# row 0 is the only row that reduces to zero, two steps in, and it is the
+# only inconsistent row of b
+@example((3, [{0: 2, 1: 1, 2: 3}, {0: 1, 2: 1}, {1: 1, 2: 1}], [1, 2, 3],
+          [1, 0, 0], [True, True, True]))
+@given(sparse_systems())
+def test_echelon_matches_the_scan_reference(case):
+    nc, rows, x0, b, mask = case
+    ech, ref = Echelon(rows, nc), ScanEchelon(rows, nc)
+    assert (ech.nrows, ech.ncols, ech.rank) == (ref.nrows, ref.ncols, ref.rank)
+    assert ech.free == ref.free
+    assert list(map(typed, ech.kernel_basis())) == \
+        list(map(typed, ref.kernel_basis()))
+    subset = [f for f, keep in zip(ref.free, mask) if keep][::-1]
+    assert list(map(typed, ech.kernel_basis(subset))) == \
+        list(map(typed, ref.kernel_basis(subset)))
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    image = mat_vec(entries, x0, len(rows))
+    x = ech.solve(image)
+    assert x is not None and mat_vec(entries, x, len(rows)) == image
+    assert typed(x) == typed(ref.solve(image))
+    # b plus a left kernel vector y is inconsistent: y . (A x + y) > 0
+    left = ScanEchelon(rows_from_entries({(c, r): v for (r, c), v
+                                          in entries.items()}, nc),
+                       len(rows)).kernel_basis()
+    for rhs in [b] + [[u + v for u, v in zip(image, y)] for y in left]:
+        assert typed(ech.solve(rhs)) == typed(ref.solve(rhs))
+    for y in left:
+        assert ech.solve([u + v for u, v in zip(image, y)]) is None
 
 
 @st.composite
