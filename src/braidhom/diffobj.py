@@ -6,7 +6,9 @@ no longer matter: each column is a finite free graded module over S
 carrying a square-zero differential with polynomial entries.  This
 module reduces such objects by cancelling invertible constant entries of
 the differential, tracking the homotopy equivalence so that maps between
-columns can be conjugated onto the reduced models.
+columns can be conjugated onto the reduced models.  The same reduction
+runs in the word direction on a complex of columns that have no
+differential left (homology.cancel_word_pivots).
 
 Generators carry a pair (hdeg, qdeg): an auxiliary homological index
 (exterior weight for Koszul columns, unused for folded factorizations)
@@ -15,6 +17,8 @@ from the bimodule side.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .bimodule import entry_degree, mat_clean, mat_mul
 from .linalg import InvariantError
@@ -60,7 +64,15 @@ class DiffObject:
 
         Returns (reduced, F, G) where F: original -> reduced and
         G: reduced -> original are chain maps with F G = id.  Pivots are
-        chosen deterministically, smallest fill first.
+        chosen deterministically: each is the constant entry of smallest
+        fill (length of its row times length of its column), ties broken
+        by (row, column).  The candidates sit in a heap of
+        (fill, (row, column)); a step marks every row and column whose
+        entries it changed, the constant entries of those are pushed
+        with fresh keys before the next pop, and a popped item that is
+        no longer constant or whose key is stale is skipped.  So every
+        pop is the minimum over all constant entries, without a scan of
+        them.
         """
         n = self.n
         rows: dict = {}
@@ -69,11 +81,16 @@ class DiffObject:
             rows.setdefault(r, {})[c] = p
             cols.setdefault(c, {})[r] = p
         const = {key for key, p in self.diff.items() if p.degree() == 0}
+        heap: list = []
+        dirty_rows = set(rows)  # the first refresh pushes every candidate
+        dirty_cols: set = set()
         alive = set(range(self.rank))
         Fmap = {i: {i: Poly.one(n)} for i in alive}
         Gmap = {j: {j: Poly.one(n)} for j in alive}
 
         def entry_set(i, j, p):
+            dirty_rows.add(i)
+            dirty_cols.add(j)
             if p:
                 rows.setdefault(i, {})[j] = p
                 cols.setdefault(j, {})[i] = p
@@ -86,10 +103,31 @@ class DiffObject:
                 cols.get(j, {}).pop(i, None)
                 const.discard((i, j))
 
-        while const:
-            r0, c0 = min(const, key=lambda rc: (
-                len(rows.get(rc[0], ())) * len(cols.get(rc[1], ())),
-                rc))
+        def refresh():
+            for i in dirty_rows:
+                row = rows.get(i)
+                if row:
+                    for j in row:
+                        if (i, j) in const:
+                            heappush(heap, (len(row) * len(cols[j]), (i, j)))
+            for j in dirty_cols:
+                col = cols.get(j)
+                if col:
+                    for i in col:
+                        if (i, j) in const:
+                            heappush(heap, (len(rows[i]) * len(col), (i, j)))
+            dirty_rows.clear()
+            dirty_cols.clear()
+
+        while True:
+            refresh()
+            while heap:
+                fill, (r0, c0) = heappop(heap)
+                if ((r0, c0) in const
+                        and fill == len(rows[r0]) * len(cols[c0])):
+                    break
+            else:
+                break
             alpha = rows[r0][c0]
             inv = Poly.const(n, quotient(1, alpha.terms[(0,) * (n - 1)]))
             row = {j: p for j, p in rows[r0].items() if j != c0}
@@ -126,10 +164,12 @@ class DiffObject:
                 for j in list(rows.get(g, ())):
                     cols.get(j, {}).pop(g, None)
                     const.discard((g, j))
+                    dirty_cols.add(j)
                 rows.pop(g, None)
                 for i in list(cols.get(g, ())):
                     rows.get(i, {}).pop(g, None)
                     const.discard((i, g))
+                    dirty_rows.add(i)
                 cols.pop(g, None)
                 alive.discard(g)
                 Fmap.pop(g, None)

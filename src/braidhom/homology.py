@@ -41,6 +41,21 @@ which holds the only remove and add sign rules: the contraction column,
 the folded columns and z_factorization of mfact, and the two-sided
 resolution of koszul_resolution_check.
 
+With simplify, two cancellations run before anything is sliced.  Each
+column is reduced by DiffObject.eliminate and the word maps are
+conjugated onto the reduced columns.  When no reduced column keeps a
+differential (every HOMFLY word; the two-strand words at N = 2), the
+word complex is itself a complex of free graded S-modules whose maps
+have degree 0 and keep the exterior weight, so a constant entry joins
+two generators of equal (weight, degree) and cancelling it is a
+homotopy equivalence of that complex: cancel_word_pivots assembles the
+word complex into one DiffObject, checks it, cancels its constant
+entries and checks the result, and every degree slice keeps its tower
+homology (5_1: the 244 generators left by column elimination come down
+to 10).  This is not the bimodule-level cancellation ColumnData
+forbids, which would act before column homology is taken.  The scan
+bounds come from the generators that survive.
+
 Stage one is one linalg.SubquotientBasis per slice.  A slice with no
 differential in or out (after simplify, every slice of a contraction
 column) is whole: its classes are the standard basis and expressing a
@@ -523,6 +538,54 @@ def tower_homology(dims: dict, mats: dict) -> dict:
     return out
 
 
+def cancel_word_pivots(n: int, cols: dict, kmaps: dict):
+    """Cancel the constant pivots of the word differential between
+    columns with no differential of their own.
+
+    The columns {k: DiffObject} and word maps {k: column k -> k + 1}
+    are assembled into one object, generators (k, q) labelled (k, index
+    in column k), checked, reduced by DiffObject.eliminate and checked
+    again; returns the surviving columns (their generators and labels
+    kept, no differential) and the reduced word maps between them.
+    Every word-map entry must join two generators of one exterior
+    weight (InvariantError if not), so a constant entry joins equal
+    (weight, degree) and cancelling it is a homotopy equivalence of the
+    word complex of free graded S-modules: every slice keeps its tower
+    homology.
+    """
+    degrees = sorted(cols)
+    offset, gens, labels = {}, [], []
+    for k in degrees:
+        offset[k] = len(gens)
+        gens.extend((k, q) for _h, q in cols[k].gens)
+        labels.extend((k, i) for i in range(cols[k].rank))
+    diff = {}
+    for k, m in kmaps.items():
+        src, tgt = cols[k].gens, cols[k + 1].gens
+        for (r, c), p in m.items():
+            if src[c][0] != tgt[r][0]:
+                raise InvariantError(f"word map {k} changes the exterior "
+                                     f"weight at {(r, c)}")
+            diff[(offset[k + 1] + r, offset[k] + c)] = p
+    word = DiffObject(n, gens, diff, labels)
+    word.check(dh=1, dq=0)
+    red = word.eliminate()[0]
+    red.check(dh=1, dq=0)
+    keep: dict = {k: [] for k in degrees}
+    where = []
+    for k, i in red.labels:
+        where.append((k, len(keep[k])))
+        keep[k].append(i)
+    out_cols = {k: DiffObject(n, [cols[k].gens[i] for i in ids], {},
+                              [cols[k].labels[i] for i in ids])
+                for k, ids in keep.items()}
+    out_maps: dict = {k: {} for k in kmaps}
+    for (r, c), p in red.diff.items():
+        k, cc = where[c]
+        out_maps[k][(where[r][1], cc)] = p
+    return out_cols, out_maps
+
+
 class ColumnData:
     """Columns of a word complex, its differentials extended to them
     (kmaps, each split once by its source slicer), one slicer per
@@ -533,14 +596,26 @@ class ColumnData:
     With simplify, each column is reduced by cancelling constant pivots
     (a strict chain homotopy equivalence of the column, so every slice
     keeps its homology) and the word maps are conjugated onto the
-    reduced models.
+    reduced models.  When every reduced column is left with no
+    differential, the conjugated word maps compose to zero exactly (the
+    homotopies between G F and the identity meet a zero differential),
+    and the constant pivots of the word maps are cancelled too
+    (cancel_word_pivots): the columns keep only the generators that
+    survive, with no differential, and the word maps are the reduced
+    ones between them.  A column that keeps a differential keeps its
+    conjugated word maps, which compose to zero only up to homotopy.
 
     The bimodule complex itself is deliberately NOT reduced by
     cancelling constant left-module pivots: such pivots need not respect
     bimodule summands, and cancelling them moves homology classes along
     the (k - 1, p - 1) diagonal, which changes the bigraded table even
     though it preserves the collapsed k - p grading.  Only a pivot that
-    is a bimodule isomorphism could be cancelled there safely.
+    is a bimodule isomorphism could be cancelled there safely.  The word
+    cancellation is not that: it runs after column homology is taken,
+    on free S-modules whose right actions are gone, and each pivot it
+    cancels joins two generators of equal (weight, degree), so every
+    slice's tower loses only a contractible summand and the bigraded
+    table stays.
 
     stage() and induced() recompute on every call; a caller that revisits
     slices keeps their results itself.
@@ -571,6 +646,8 @@ class ColumnData:
                 col.check(dh=-1, dq=0)
             else:
                 col.check(dh=None, dq=N + 1)
+        if simplify and not any(col.diff for col in cols.values()):
+            cols, kmaps = cancel_word_pivots(C.n, cols, kmaps)
         self.cols = cols
         self.slicers = {k: ColumnSlices(col) if N is None
                         else FoldedSlices(col, N) for k, col in cols.items()}

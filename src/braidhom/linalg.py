@@ -70,6 +70,8 @@ def _scaled_int_row(row: dict):
     g = 0
     for v in nums.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     if g > 1:
         nums = {c: v // g for c, v in nums.items()}
     else:

@@ -13,7 +13,8 @@ from braidhom.bimodule import identity_bimodule
 from braidhom.braid import Word
 from braidhom.conventions import (homology_euler_as_skein, match_exact,
                                   oracle_specialized, sln_euler)
-from braidhom.homology import (DegreeWindow, TriGradedSpace,
+from braidhom.complexes import rouquier_complex
+from braidhom.homology import (ColumnData, DegreeWindow, TriGradedSpace,
                                hochschild_bimodule, hochschild_closed_form,
                                homfly_homology, koszul_resolution_check,
                                tower_homology)
@@ -75,8 +76,22 @@ def test_cinquefoil_table_and_euler():
 
 
 def test_column_elimination_does_not_change_homology():
-    for text in ["2: 1 1 1", "2: 1 -1 1", "3: 1 2"]:
+    for text in ["2: 1 1 1", "2: 1 -1 1", "3: 1 2", "2: 1 1 1 1 1",
+                 "3: 1 -2 1 -2", "3: 1 1 1 2"]:
         assert table(text, simplify=False) == table(text), text
+
+
+def test_word_pivots_cancel_before_slicing():
+    # every HOMFLY column cancels to zero differential, and the unit
+    # entries of the word maps between them cancel too: the 244, 96 and
+    # 112 generators left by column elimination come down to 10, 20 and
+    # 12
+    for text, ranks in [("2: 1 1 1 1 1", [1, 1, 2, 2, 2, 2]),
+                        ("3: 1 -2 1 -2", [2, 5, 6, 5, 2]),
+                        ("3: 1 1 1 2", [1, 2, 3, 4, 2])]:
+        data = ColumnData(rouquier_complex(Word.parse(text)), None, True)
+        assert [data.cols[k].rank for k in data.degrees] == ranks, text
+        assert not any(col.diff for col in data.cols.values()), text
 
 
 def test_reidemeister_two_leaves_the_table_unchanged():
@@ -153,6 +168,42 @@ def test_tower_check_survives_python_O():
                           capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
     assert done.stdout.startswith("raised: induced maps do not square"), \
+        done.stdout + done.stderr
+
+
+OPTIMIZED_WORD_MAP = """
+from braidhom import homology
+from braidhom.braid import Word
+from braidhom.linalg import InvariantError
+from braidhom.poly import Poly
+assert False, "asserts must be stripped"
+plain = homology.conjugate
+done = []
+
+def corrupted(F, mat, G):
+    out = plain(F, mat, G)
+    if out and not done:
+        key = min(out)
+        out[key] = out[key] * Poly.x(2, 1)
+        done.append(key)
+    return out
+
+homology.conjugate = corrupted
+try:
+    homology.homfly_homology(Word.parse("2: 1 1 1"))
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_word_complex_check_survives_python_O():
+    # one conjugated word-map entry multiplied by x_1 is no longer of
+    # degree 0; the word complex is checked before its pivots cancel
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_WORD_MAP],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    assert done.stdout.startswith("raised: qdeg mismatch"), \
         done.stdout + done.stderr
 
 

@@ -2,8 +2,10 @@
 
 from braidhom.bimodule import (aux_bimodules, bs_bimodule, identity_bimodule)
 from braidhom.braid import Word
+from braidhom.complexes import rouquier_complex
 from braidhom.conventions import match_exact, oracle_specialized, sln_euler
-from braidhom.homology import TriGradedSpace, homfly_homology, koszul_column
+from braidhom.homology import (ColumnData, TriGradedSpace, homfly_homology,
+                               koszul_column)
 from braidhom.mfact import (collapse_coefficient, folded_column,
                             sln_homology, z_factorization)
 from braidhom.oracle import homfly_oracle
@@ -140,6 +142,15 @@ def test_sln_table_is_the_regraded_homfly_table():
 def test_column_elimination_does_not_change_the_table():
     for text, N in [("2: 1 1 1", 2), ("2: 1 -1 1", 3)]:
         assert table(text, N, simplify=False) == table(text, N), (text, N)
+
+
+def test_columns_keeping_a_differential_keep_their_word_maps():
+    # at N = 2 the figure-eight columns keep a differential after column
+    # elimination, so the word pivots are not cancelled: each column
+    # keeps its rank and its differential
+    data = ColumnData(rouquier_complex(Word.parse("3: 1 -2 1 -2")), 2, True)
+    assert [data.cols[k].rank for k in data.degrees] == [8, 20, 24, 20, 8]
+    assert all(col.diff for col in data.cols.values())
 
 
 def test_rank_must_be_a_positive_integer():
