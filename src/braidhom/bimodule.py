@@ -410,24 +410,6 @@ class GradedFreeBasis:
             total += p.dim
         self.dim = total
 
-    def vector(self, polys) -> list:
-        """Flatten a list of per-generator polys into one coefficient vector."""
-        v = [0] * self.dim
-        for a, p in enumerate(polys):
-            if not p:
-                continue
-            off = self.offsets[a]
-            for mono, c in p.terms.items():
-                v[off + self.pieces[a].index(mono)] = c
-        return v
-
-    def decompose(self, vec) -> list:
-        """Inverse of vector(): one poly per generator."""
-        out = []
-        for a, piece in enumerate(self.pieces):
-            off = self.offsets[a]
-            out.append(piece.poly(vec[off:off + piece.dim]))
-        return out
 
 
 def graded_map_entries(mat: Mat, src: GradedFreeBasis,

@@ -96,10 +96,6 @@ class Word:
     def is_knot_closure(self) -> bool:
         return self.cycle_count() == 1
 
-    def mirror(self) -> "Word":
-        return Word(self.n, tuple((i, -k if k != SING else SING)
-                                  for i, k in self.entries))
-
     def resolutions(self):
         """All ways of resolving singular letters into +/- crossings.
 

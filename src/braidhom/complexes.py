@@ -1,4 +1,4 @@
-"""Bounded complexes of bimodules: crossing complexes, tensors, cones.
+"""Bounded complexes of bimodules: crossing complexes, tensors, chain maps.
 
 Cochain convention: differentials raise the homological index by one and
 are internal-degree 0.  A positive crossing of strands i, i+1 is the
@@ -178,41 +178,6 @@ class ChainMap:
                 raise InvariantError(
                     f"chain map component at {k} has degree {f.degree}")
             f.check()
-
-    def cone(self) -> BComplex:
-        """Mapping cone: degree k is src^(k+1) (+) tgt^k, with the source
-        differential negated and the map feeding the target column."""
-        X, Y = self.src, self.tgt
-        objs, diffs = {}, {}
-        degs = sorted({k - 1 for k in X.degrees} | set(Y.degrees))
-        parts = {}
-        for k in degs:
-            ps = []
-            if k + 1 in X.objs:
-                ps.append(("x", X.objs[k + 1]))
-            if k in Y.objs:
-                ps.append(("y", Y.objs[k]))
-            total, offsets = bimodule_sum([m for _, m in ps])
-            objs[k] = total
-            parts[k] = {tag: off for (tag, _), off in zip(ps, offsets)}
-        for k in degs:
-            if k + 1 not in objs:
-                continue
-            mat = {}
-            so, to = parts[k], parts[k + 1]
-            if "x" in so and "x" in to:
-                for (r, c), p in X.diff_mat(k + 1).items():
-                    mat[(to["x"] + r, so["x"] + c)] = -p
-            if "x" in so and "y" in to:
-                for (r, c), p in self.comp_mat(k + 1).items():
-                    mat[(to["y"] + r, so["x"] + c)] = p
-            if "y" in so and "y" in to:
-                for (r, c), p in Y.diff_mat(k).items():
-                    mat[(to["y"] + r, so["y"] + c)] = p
-            d = BimoduleMap(objs[k], objs[k + 1], mat)
-            if not d.is_zero:
-                diffs[k] = d
-        return BComplex(X.n, objs, diffs)
 
 
 def tensor_chain_maps(f: ChainMap, g: ChainMap, src: BComplex,

@@ -41,7 +41,7 @@ def conventions_block(N=None) -> dict:
         "change_of_variables": {"a": "-a^-2 q^-2", "q": "q"},
     }
     if N is not None:
-        out["specialization"] = f"a = q^{N}" if N != "inf" else "none"
+        out["specialization"] = f"a = q^{N}"
         out["middle_axis"] = ("collapsed factorization grading, regraded "
                               "by the class weight")
     return out

@@ -140,38 +140,12 @@ class TriGradedSpace:
         return [[k, i, j, self.dims[(k, i, j)]]
                 for (k, i, j) in sorted(self.dims)]
 
-    @classmethod
-    def from_table(cls, rows) -> "TriGradedSpace":
-        out = cls()
-        for k, i, j, d in rows:
-            out.add(k, i, j, d)
-        return out
-
     def euler(self) -> Laurent2:
         """Sum of (-1)^k a^i q^j over the table."""
         out = Laurent2.zero()
         for (k, i, j), d in self.dims.items():
             out = out + Laurent2.monomial(i, j, -d if k % 2 else d)
         return out
-
-    def shifted(self, dk: int, di: int, dj: int) -> "TriGradedSpace":
-        return TriGradedSpace({(k + dk, i + di, j + dj): d
-                               for (k, i, j), d in self.dims.items()})
-
-    def mirror(self) -> "TriGradedSpace":
-        """All three gradings negated."""
-        return TriGradedSpace({(-k, -i, -j): d
-                               for (k, i, j), d in self.dims.items()})
-
-    def match_up_to_shift(self, other: "TriGradedSpace"):
-        """Uniform (dk, di, dj) with self.shifted(...) == other, else None."""
-        if len(self.dims) != len(other.dims):
-            return None
-        if not self.dims:
-            return (0, 0, 0)
-        a, b = min(self.dims), min(other.dims)
-        delta = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        return delta if self.shifted(*delta) == other else None
 
     def __eq__(self, other):
         return isinstance(other, TriGradedSpace) and self.dims == other.dims
@@ -363,8 +337,8 @@ class FoldedSlices:
     """Folded slicer, keyed sigma = (q, parity): the slice concatenates
     the weight-p pieces of collapsed degree q for the weights p of that
     parity, ascending.  The differential moves the weight by one either
-    way and maps (q, parity) to (q + N + 1, 1 - parity); degree-0 maps
-    are block diagonal over the weights."""
+    way and maps (q, parity) to (q + N + 1, 1 - parity); cross reads
+    only the weight-preserving blocks of a degree-0 map."""
 
     __slots__ = ("sl", "N", "_offsets")
 
@@ -603,7 +577,9 @@ class ColumnData:
     (cancel_word_pivots): the columns keep only the generators that
     survive, with no differential, and the word maps are the reduced
     ones between them.  A column that keeps a differential keeps its
-    conjugated word maps, which compose to zero only up to homotopy.
+    conjugated word maps, which compose to zero only up to homotopy and,
+    folded, can move the weight by two (F and G mix the weights p +- 1 of
+    a pivot); FoldedSlices.cross reads only weight-keeping blocks.
 
     The bimodule complex itself is deliberately NOT reduced by
     cancelling constant left-module pivots: such pivots need not respect
@@ -802,17 +778,17 @@ def hochschild_closed_form(n: int, p: int, j: int) -> int:
 # resolution property of the two-sided contraction complex
 
 
-def koszul_resolution_check(n: int, j_max: int = 12):
+def koszul_resolution_check(n: int):
     """Check the contraction complex on x_j - y_j over the two-sided
     ring resolves the one-sided ring: degree-j homology has dim S_j at
     exterior weight 0 and vanishes at positive weights, for all internal
-    degrees up to j_max (InvariantError if not)."""
+    degrees up to 12 (InvariantError if not)."""
     col = exterior_column(n, [0], 2, {j: {(0, 0): phi(n, j)}
                                       for j in range(1, n)}, {})
     col.check(dh=-1, dq=0)
-    dims = slice_homology(ColumnSlices(col, two_sided=True),
-                          range(0, j_max + 1, 2))
-    for j in range(0, j_max + 1, 2):
+    degrees = range(0, 13, 2)
+    dims = slice_homology(ColumnSlices(col, two_sided=True), degrees)
+    for j in degrees:
         for p in range(n):
             got = dims.get((p, j), 0)
             want = graded_piece(n, j, False).dim if p == 0 else 0

@@ -284,9 +284,6 @@ class RowSpace:
                     w[c] -= factor * val
         return w
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
-
     def leading(self, vec):
         """First nonzero index of the reduced vec (None inside the span):
         the largest leading index over the coset vec + span."""

@@ -34,8 +34,10 @@ undeformed pipeline; it is that pipeline's slice engine
 only the folded columns and the weight bookkeeping below.  Both
 components of D flip the parity of the exterior weight, so each
 collapsed slice splits into an even-weight and an odd-weight subcomplex
-and the weight parity of every class is exact; the word maps preserve
-the weight outright.
+and the weight parity of every class is exact.  The raw word maps keep
+the weight; conjugated onto columns that keep a differential they can
+move it by two (homology.ColumnData), and only weight-keeping blocks
+are read.
 
 Within a parity the full weight of a class is recovered from the
 internal-degree filtration: neither component of D lowers internal

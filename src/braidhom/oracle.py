@@ -180,13 +180,13 @@ def vassiliev_oracle(word: Word) -> HomflyValue:
     return total
 
 
-def oracle_self_test(word: Word, seed: int = 0, rounds: int = 12) -> bool:
-    """Random Markov moves must preserve the oracle value."""
+def oracle_self_test(word: Word, seed: int = 0) -> bool:
+    """Twelve random Markov moves must preserve the oracle value."""
     assert not word.is_singular
     base = homfly_oracle(word)
     rng = random.Random(seed)
     current = word
-    for _ in range(rounds):
+    for _ in range(12):
         move = rng.choice(("conj", "stab+", "stab-"))
         if move == "conj" and current.n >= 2:
             i = rng.randrange(1, current.n)

@@ -257,9 +257,6 @@ class GradedPiece:
         self._index = {mono: k for k, mono in enumerate(self.basis)}
         self._shifts: dict = {}
 
-    def index(self, mono) -> int:
-        return self._index[mono]
-
     def shift(self, e) -> list:
         """Indices of e * m, over the basis monomials m, in the piece of
         degree self.degree + deg(e); built once per monomial e."""
@@ -270,17 +267,6 @@ class GradedPiece:
             rows = self._shifts[e] = [index[tuple(map(add, e, m))]
                                       for m in self.basis]
         return rows
-
-    def vector(self, p: Poly) -> list:
-        """Coefficient vector of a homogeneous poly in this piece's basis."""
-        v = [0] * self.dim
-        for mono, c in p.terms.items():
-            v[self._index[mono]] = c
-        return v
-
-    def poly(self, vec) -> Poly:
-        terms = {mono: c for mono, c in zip(self.basis, vec) if c}
-        return Poly(self.n, terms, self.two_sided)
 
 
 # one HOMFLY, sl(N) or cube call meets 15 to 50 distinct pieces

@@ -104,13 +104,12 @@ class ExtensionRealization:
         self.iota, self.pi = iota, pi
 
 
-def extension_realization(n: int, i: int, scale=1,
-                          j_max: int = 12) -> ExtensionRealization:
+def extension_realization(n: int, i: int, scale=1) -> ExtensionRealization:
     """Build and verify the crossing-change sequence at strands i, i+1.
 
     Checks: both structure maps are chain maps; the composite pi . iota
-    vanishes; the ranks are termwise exact in every internal degree up
-    to j_max; the inclusion sends the distinguished generator to the
+    vanishes; the ranks are termwise exact in every internal degree from
+    -4 to 12; the inclusion sends the distinguished generator to the
     distinguished extension generator with coefficient one.  Only after
     these checks is the scalar applied.  The scale must be an int or a
     Fraction (TypeError otherwise: a float would enter as a binary
@@ -128,7 +127,7 @@ def extension_realization(n: int, i: int, scale=1,
             raise InvariantError("projection after inclusion is nonzero")
     for k in degrees:
         gens = [C.objs[k].gens if k in C.objs else () for C in (X, Y1, E)]
-        for j in range(-4, j_max + 1):
+        for j in range(-4, 13):
             # graded dimension of a free module over n - 1 variables
             dx, dy, de = (sum(monomial_count(n - 1, (j - g) // 2)
                               for g in gs if (j - g) % 2 == 0)

@@ -31,6 +31,21 @@ CINQUEFOIL = [[-2, 2, 8, 1], [0, 2, 4, 1], [0, 3, 8, 1],
               [2, 2, 0, 1], [2, 3, 4, 1]]
 
 
+def space_of(rows) -> TriGradedSpace:
+    return TriGradedSpace({(k, i, j): d for k, i, j, d in rows})
+
+
+def mirror(space: TriGradedSpace) -> TriGradedSpace:
+    """All three gradings negated."""
+    return TriGradedSpace({(-k, -i, -j): d
+                           for (k, i, j), d in space.dims.items()})
+
+
+def mirror_word(word: Word) -> Word:
+    """Every crossing sign flipped (a singular letter, 0, stays)."""
+    return Word(word.n, tuple((i, -k) for i, k in word.entries))
+
+
 def table(text: str, **kw):
     space, report = homfly_homology(Word.parse(text), **kw)
     assert report["stabilized"], f"scan did not stabilize on {text!r}"
@@ -58,15 +73,14 @@ def test_trefoil_table_and_euler():
 
 def test_mirror_word_negates_all_gradings():
     assert table("2: -1 -1 -1") == TREFOIL_MIRROR
-    mirrored = TriGradedSpace.from_table(TREFOIL).mirror()
-    assert mirrored.table() == TREFOIL_MIRROR
+    assert mirror(space_of(TREFOIL)).table() == TREFOIL_MIRROR
     assert euler_matches_trace("2: -1 -1 -1")
 
 
 def test_figure_eight_table_is_amphichiral():
     assert table("3: 1 -2 1 -2") == FIGURE_EIGHT
-    space = TriGradedSpace.from_table(FIGURE_EIGHT)
-    assert space == space.mirror()
+    space = space_of(FIGURE_EIGHT)
+    assert space == mirror(space)
     assert euler_matches_trace("3: 1 -2 1 -2")
 
 
@@ -137,7 +151,7 @@ def test_self_tensor_homology_matches_closed_form():
 
 def test_contraction_complex_resolves_the_one_sided_ring():
     koszul_resolution_check(2)
-    koszul_resolution_check(3, j_max=12)
+    koszul_resolution_check(3)
 
 
 def test_tower_checks_raise_invariant_error():
@@ -237,7 +251,7 @@ def test_homfly_and_sl2_property(text):
     assert report["stabilized"], text
     value = homfly_oracle(word)
     assert match_exact(homology_euler_as_skein(space), value.poly), text
-    assert homfly_homology(word.mirror())[0] == space.mirror(), text
+    assert homfly_homology(mirror_word(word))[0] == mirror(space), text
     rotated = Word(word.n, word.entries[1:] + word.entries[:1])
     assert homfly_homology(rotated)[0] == space, text
     sl2, report2 = sln_homology(word, 2)

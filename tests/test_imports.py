@@ -104,26 +104,41 @@ def test_the_caller_lint_sees_a_name_only_tests_call():
         "ghost is not defined", "used has a caller"]
 
 
+def unnamed_public_methods(trees: dict, callers) -> list:
+    """Public methods of the classes in trees that no attribute,
+    obj.method, in the caller trees names.
+
+    The lint matches names, not objects: a method that shares its name
+    with one the callers call (check, add, index) passes although
+    nothing calls it."""
+    attrs = {sub.attr for tree in callers for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute)}
+    return [f"{module}.{cls.name}.{node.name}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in attrs]
+
+
 def test_every_public_method_is_named_somewhere():
-    # a method is named through an attribute, obj.method, in the package,
-    # its tests or the benchmark
-    attrs = set()
-    for top in (SRC, ROOT / "tests", ROOT / "braidbench"):
-        for path in sorted(top.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute):
-                    attrs.add(node.attr)
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for cls in ast.parse(path.read_text(), str(path)).body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and not node.name.startswith("_")
-                        and node.name not in attrs):
-                    found.append(f"{path.stem}.{cls.name}.{node.name}")
-    assert attrs and not found, found
+    # callers are the package and the benchmark, not the tests: a method
+    # that only tests call is test code and belongs in the tests
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "braidbench").rglob("*.py"))
+             if not path.name.startswith("test_")]
+    found = unnamed_public_methods(trees, [*trees.values(), *bench])
+    assert len(trees) > 10 and bench and not found, found
+
+
+def test_the_method_lint_sees_a_method_only_tests_call():
+    trees = {"a": ast.parse("class K:\n    def used(self):\n        pass\n\n"
+                            "    def lonely(self):\n        pass\n"),
+             "b": ast.parse("from .a import K\nK().used()\n")}
+    test_module = ast.parse("from a import K\nK().lonely()\n")
+    assert unnamed_public_methods(trees, trees.values()) == ["a.K.lonely"]
+    assert unnamed_public_methods(trees, [*trees.values(), test_module]) == []
 
 
 def test_benchmark_spans_name_code_that_exists():

@@ -92,16 +92,25 @@ def test_trefoil_specializations():
     assert table("2: 1 1 1", 4) == TREFOIL_N4
 
 
+def space_of(rows) -> TriGradedSpace:
+    return TriGradedSpace({(k, i, j): d for k, i, j, d in rows})
+
+
+def mirror(space: TriGradedSpace) -> TriGradedSpace:
+    """All three gradings negated."""
+    return TriGradedSpace({(-k, -i, -j): d
+                           for (k, i, j), d in space.dims.items()})
+
+
 def test_mirror_trefoil_reflects_the_table():
     assert table("2: -1 -1 -1", 2) == TREFOIL_MIRROR_N2
-    assert TriGradedSpace.from_table(TREFOIL_N2).mirror().table() == \
-        TREFOIL_MIRROR_N2
+    assert mirror(space_of(TREFOIL_N2)).table() == TREFOIL_MIRROR_N2
 
 
 def test_figure_eight_is_amphichiral():
     assert table("3: 1 -2 1 -2", 2) == FIGURE_EIGHT_N2
-    space = TriGradedSpace.from_table(FIGURE_EIGHT_N2)
-    assert space == space.mirror()
+    space = space_of(FIGURE_EIGHT_N2)
+    assert space == mirror(space)
 
 
 def test_cinquefoil():
@@ -135,13 +144,21 @@ def test_sln_table_is_the_regraded_homfly_table():
                  "3: 1 -2 1 -2"):
         big, _ = homfly_homology(Word.parse(text))
         for N in (2, 3, 4):
-            assert TriGradedSpace.from_table(table(text, N)) == \
-                regraded(big, N), (text, N)
+            assert space_of(table(text, N)) == regraded(big, N), (text, N)
 
 
 def test_column_elimination_does_not_change_the_table():
-    for text, N in [("2: 1 1 1", 2), ("2: 1 -1 1", 3)]:
+    for text, N in [("2: 1 1 1", 2), ("2: 1 -1 1", 3), ("3: 1 2", 2),
+                    ("3: 1 -2", 2)]:
         assert table(text, N, simplify=False) == table(text, N), (text, N)
+    # on the three-strand words the reduced columns keep a differential,
+    # and the conjugated word maps carry entries from weight p to p + 2
+    # that the folded slicer does not read; the tables above still match
+    for text in ("3: 1 2", "3: 1 -2"):
+        data = ColumnData(rouquier_complex(Word.parse(text)), 2, simplify=True)
+        moved = sum(len(block) for parts in data.kmaps.values()
+                    for (ps, pt), block in parts.items() if ps != pt)
+        assert moved == 4, text
 
 
 def test_columns_keeping_a_differential_keep_their_word_maps():

@@ -99,13 +99,10 @@ def test_monomial_enumeration():
             assert len(got) == comb(t + m - 1, m - 1)
 
 
-def test_graded_piece_roundtrip():
+def test_graded_piece_basis_and_dimensions():
     gp = graded_piece(3, 6, False)
     assert gp.dim == 4  # monomials of total exponent 3 in 2 vars
     assert gp.basis == tuple(monomials(2, 3))
-    p = Poly.x(3, 1) ** 3 - 2 * Poly.x(3, 1) * Poly.x(3, 2) ** 2
-    v = gp.vector(p)
-    assert gp.poly(v) == p
     # odd and negative degrees are empty
     assert graded_piece(3, 5, False).dim == 0
     assert graded_piece(3, -2, True).dim == 0
