@@ -179,28 +179,6 @@ class Bimodule:
             actions.append(ak)
         return Bimodule(self.n, gens, actions)
 
-    def check(self):
-        """Check all bimodule axioms (homogeneity, commuting, sum zero);
-        InvariantError if one fails."""
-        for k in range(self.n):
-            what = f"action x_{k+1} entry"
-            for (a, b), p in self.actions[k].items():
-                d = entry_degree(p, (a, b), what)
-                if d != 2 + self.gens[b] - self.gens[a]:
-                    raise InvariantError(
-                        f"action x_{k+1} entry {(a, b)} degree {d}")
-        total: Mat = {}
-        for a in self.actions:
-            total = mat_add(total, a)
-        if total:
-            raise InvariantError("right actions do not sum to zero")
-        for k in range(self.n):
-            for l in range(k + 1, self.n):
-                if not mat_eq(mat_mul(self.actions[k], self.actions[l]),
-                              mat_mul(self.actions[l], self.actions[k])):
-                    raise InvariantError(
-                        f"actions x_{k+1}, x_{l+1} do not commute")
-
     def __repr__(self):
         return f"Bimodule(n={self.n}, gens={self.gens})"
 

@@ -82,20 +82,6 @@ class BComplex:
             diffs[k - s] = d if sign == 1 else -d
         return BComplex(self.n, objs, diffs)
 
-    def check(self, deep: bool = False):
-        """Degree-0 differentials, d^2 = 0; InvariantError if not."""
-        for k, d in self.diffs.items():
-            if d.degree not in (None, 0):
-                raise InvariantError(
-                    f"differential at {k} has degree {d.degree}")
-            if k + 1 in self.diffs and not (self.diffs[k + 1] @ d).is_zero:
-                raise InvariantError(f"d^2 != 0 at {k}")
-        if deep:
-            for m in self.objs.values():
-                m.check()
-            for d in self.diffs.values():
-                d.check()
-
     def __repr__(self):
         shape = {k: self.objs[k].rank for k in self.degrees}
         return f"BComplex(n={self.n}, ranks={shape})"

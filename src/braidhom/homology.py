@@ -59,11 +59,19 @@ bounds come from the generators that survive.
 Stage one is one linalg.SubquotientBasis per slice.  A slice with no
 differential in or out (after simplify, every slice of a contraction
 column) is whole: its classes are the standard basis and expressing a
-vector is the identity.  Stage two pushes sparsely, column by column of
-the slice matrix; a source with no outgoing differential represents its
-classes by standard vectors, whose images are columns of the matrix,
-and between two whole slices the induced map is the slice matrix
-itself; nothing is solved.  Coefficients are ints or Fractions: the
+vector is the identity.  Each slice's outgoing differential is factored
+once, and its rank is kept (ColumnData.ranks) as the incoming rank of
+the slice it maps to.  Where that rank is known (the previous slice was
+visited or is empty: always in a degree scan of folded slicers, which
+visit degrees upward) the homology dimension is known before any
+boundary is spanned: a negative one is an InvariantError, and an exact
+slice spans no boundaries and never assembles its incoming
+differential.  The contraction slicers visit (p + 1, j) after (p, j),
+so they span the boundaries as before.  Stage two pushes sparsely,
+column by column of the slice matrix; a source with no outgoing
+differential represents its classes by standard vectors, whose images
+are columns of the matrix, and between two whole slices the induced map
+is the slice matrix itself; nothing is solved.  Coefficients are ints or Fractions: the
 polynomial data is canonical (rational.py: an int when integral), so
 slices start out integer and Fractions come only from divisions.
 Failed internal checks raise linalg.InvariantError, also under
@@ -409,22 +417,32 @@ class FoldedSlices:
 # the two stages
 
 
-def slice_subquotient(sl, sigma):
+def slice_subquotient(sl, sigma, ranks: dict):
     """Homology basis at one slice: kernel of the outgoing differential
-    modulo the image of the incoming one; None when the slice is empty."""
+    modulo the image of the incoming one; None when the slice is empty.
+
+    ranks = {sigma: rank of the differential out of sigma} holds the
+    slices of this slicer visited so far and gains this one.  The
+    incoming rank is known when prev(sigma) is empty or in ranks, and
+    then an exact slice never assembles the incoming differential."""
     dim = sl.dim(sigma)
     if not dim:
         return None
-    return SubquotientBasis(dim, sl.diff(sigma), sl.dim(sl.next(sigma)),
-                            sl.diff(sl.prev(sigma)))
+    prev = sl.prev(sigma)
+    sq = SubquotientBasis(dim, sl.diff(sigma), sl.dim(sl.next(sigma)),
+                          lambda: sl.diff(prev),
+                          ranks.get(prev) if sl.dim(prev) else 0)
+    ranks[sigma] = sq.out_rank
+    return sq
 
 
 def slice_homology(sl, degrees) -> dict:
     """{sigma: dim} of the nonzero slice homology at the given degrees."""
     out: dict = {}
+    ranks: dict = {}
     for deg in degrees:
         for sigma in sorted(sl.sigmas(deg)):
-            sq = slice_subquotient(sl, sigma)
+            sq = slice_subquotient(sl, sigma, ranks)
             if sq is not None and sq.dim:
                 out[sigma] = sq.dim
     return out
@@ -593,11 +611,17 @@ class ColumnData:
     slice's tower loses only a contractible summand and the bigraded
     table stays.
 
-    stage() and induced() recompute on every call; a caller that revisits
-    slices keeps their results itself.
+    ranks = {k: {sigma: rank of the differential out of slice sigma of
+    column k}} is filled by stage() from the factorization each slice's
+    SubquotientBasis makes of its outgoing differential, and gives the
+    next slice its incoming rank: a degree scan visits prev(sigma) of a
+    folded slicer one collapsed step earlier, so every sl(N) slice knows
+    it, and an exact one spans no boundaries.  stage() and induced()
+    otherwise recompute on every call; a caller that revisits slices
+    keeps their results itself.
     """
 
-    __slots__ = ("C", "degrees", "cols", "kmaps", "slicers")
+    __slots__ = ("C", "degrees", "cols", "kmaps", "slicers", "ranks")
 
     def __init__(self, C: BComplex, N, simplify: bool):
         self.C = C
@@ -629,6 +653,7 @@ class ColumnData:
                         else FoldedSlices(col, N) for k, col in cols.items()}
         self.kmaps = {k: self.slicers[k].split(m, self.slicers[k + 1])
                       for k, m in kmaps.items()}
+        self.ranks = {k: {} for k in cols}
 
     def sigmas(self, deg: int) -> list:
         """Slice keys of all columns at one scanned degree, sorted."""
@@ -646,13 +671,14 @@ class ColumnData:
         """Stage one: slice homology of column k, None when empty."""
         if k not in self.slicers:
             return None
-        return slice_subquotient(self.slicers[k], sigma)
+        return slice_subquotient(self.slicers[k], sigma, self.ranks[k])
 
     def induced(self, k, sigma, sq_src, sq_tgt) -> dict:
         """Stage two: the map induced by the word differential from
         (k, sigma) to (k + 1, sigma).  Classes are pushed whenever the
         target slice is nonempty, so a class sent into a zero-dimensional
-        target subquotient is checked to land in its boundaries."""
+        target subquotient is checked to be a cycle there, which on that
+        exact slice is the same as landing in its boundaries."""
         if sq_tgt is None:
             return {}
         src, tgt = self.slicers[k], self.slicers[k + 1]

@@ -22,7 +22,11 @@ fixed by its entries at the free columns of the outgoing map, so its
 classes are free columns and expressing a cycle reduces those entries
 against the boundaries: nothing is solved, and no factored matrix is
 kept.  With no outgoing map the representatives are standard vectors,
-and with no boundaries either a vector is its own coordinate list.
+and with no boundaries either a vector is its own coordinate list.  The
+outgoing map is factored once and its rank kept (out_rank); given the
+incoming rank, a slice whose cycles are all boundaries is known to be
+exact without spanning its boundaries, and more boundaries than cycles
+is an InvariantError.
 
 Violated internal invariants raise InvariantError, an AssertionError
 raised explicitly, so the checks also run under python -O.
@@ -330,30 +334,55 @@ class SubquotientBasis:
     When the outgoing map is zero every vector is a cycle and the
     representatives are standard vectors (standard); with no boundaries
     either the slice is whole and a vector is its own coordinate list.
+
+    out_rank is the rank of the outgoing map, which is the incoming rank
+    of the slice it maps to.  A caller that knows the incoming rank
+    passes it as inc_rank, and may pass inc as a function returning the
+    entries.  The homology dimension h = (number of free columns) -
+    inc_rank is then known before any boundary is spanned: h < 0 raises
+    InvariantError, and an exact slice (h = 0) has no classes, never
+    calls inc and spans nothing (boundary_basis is None); express()
+    still checks out . v = 0, which there is the same as landing in the
+    boundaries.  For h > 0 the boundaries are spanned as above and must
+    have rank inc_rank.
     """
 
-    def __init__(self, dim: int, out: dict, out_dim: int, inc: dict):
+    def __init__(self, dim: int, out: dict, out_dim: int, inc,
+                 inc_rank=None):
         self.ambient_dim = dim
         self._out, self._out_dim = out, out_dim
         ech = Echelon(rows_from_entries(out, out_dim) if out else [], dim)
+        self.out_rank = ech.rank
         self._free = ech.free
-        cols: dict = {}
-        for (r, c), v in inc.items():
-            cols.setdefault(c, [0] * dim)[r] = v
-        # boundaries in cycle coordinates, reversed, so that the pivots
-        # of the span are trailing coordinates
-        self._span = RowSpace(len(self._free))
-        self.boundary_basis = []
-        for b in cols.values():
-            if self._span.add([b[f] for f in reversed(self._free)]):
-                self.boundary_basis.append(b)
-        top = len(self._free) - 1
-        self._trailing = {top - pc for pc in self._span.pivcols}
-        self.classes = list(self._free)
-        for i in sorted(self._trailing, reverse=True):
-            del self.classes[i]
         self.standard = not ech.pivots
-        self.whole = self.standard and not self.boundary_basis
+        if inc_rank is not None and inc_rank > len(self._free):
+            raise InvariantError(f"{inc_rank} independent boundaries in "
+                                 f"{len(self._free)} cycle dimensions")
+        if inc_rank == len(self._free):
+            # exact: every cycle is a boundary, so there are no classes
+            # and the boundaries are never spanned
+            self._span, self.boundary_basis, self.classes = None, None, []
+        else:
+            cols: dict = {}
+            for (r, c), v in (inc() if callable(inc) else inc).items():
+                cols.setdefault(c, [0] * dim)[r] = v
+            # boundaries in cycle coordinates, reversed, so that the
+            # pivots of the span are trailing coordinates
+            self._span = RowSpace(len(self._free))
+            self.boundary_basis = []
+            for b in cols.values():
+                if self._span.add([b[f] for f in reversed(self._free)]):
+                    self.boundary_basis.append(b)
+            if inc_rank is not None and self._span.dim != inc_rank:
+                raise InvariantError(f"boundaries of rank {self._span.dim}, "
+                                     f"not the known {inc_rank}")
+            inc_rank = self._span.dim
+            top = len(self._free) - 1
+            self._trailing = {top - pc for pc in self._span.pivcols}
+            self.classes = list(self._free)
+            for i in sorted(self._trailing, reverse=True):
+                del self.classes[i]
+        self.whole = self.standard and not inc_rank
         self._reps = None if self.standard else ech.kernel_basis(self.classes)
 
     @property
@@ -377,6 +406,8 @@ class SubquotientBasis:
                              f"dimension {self.ambient_dim}")
         if any(mat_vec(self._out, vec, self._out_dim)):
             raise ValueError("vector is not a cycle")
+        if not self.classes:
+            return []
         w = self._span.reduce([vec[f] for f in reversed(self._free)])
         return [x for i, x in enumerate(reversed(w))
                 if i not in self._trailing]

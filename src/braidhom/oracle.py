@@ -139,20 +139,6 @@ class HomflyValue:
              + other.poly * DELTA ** (d - other.denom))
         return HomflyValue.make(p, d)
 
-    def __sub__(self, other: "HomflyValue") -> "HomflyValue":
-        return self + HomflyValue(-other.poly, other.denom)
-
-    def __mul__(self, other: "HomflyValue") -> "HomflyValue":
-        return HomflyValue.make(self.poly * other.poly,
-                                self.denom + other.denom)
-
-    def scale(self, c: Laurent2) -> "HomflyValue":
-        return HomflyValue.make(self.poly * c, self.denom)
-
-    def substitute_monomials(self, image_a, image_q) -> "HomflyValue":
-        assert self.denom == 0, "substitute only polynomial values"
-        return HomflyValue(self.poly.substitute_monomials(image_a, image_q))
-
 
 def homfly_oracle(word: Word) -> HomflyValue:
     """HOMFLY polynomial of the closure of a non-singular braid word."""

@@ -1,0 +1,44 @@
+"""Axiom checks of bimodules and bimodule complexes that only the tests
+run: the pipelines check the objects they build through DiffObject,
+BimoduleMap and ChainMap instead."""
+
+from braidhom.bimodule import entry_degree, mat_add, mat_eq, mat_mul
+from braidhom.linalg import InvariantError
+
+
+def check_bimodule(M):
+    """All bimodule axioms of M (homogeneity, commuting, sum zero);
+    InvariantError if one fails."""
+    for k in range(M.n):
+        what = f"action x_{k+1} entry"
+        for (a, b), p in M.actions[k].items():
+            d = entry_degree(p, (a, b), what)
+            if d != 2 + M.gens[b] - M.gens[a]:
+                raise InvariantError(
+                    f"action x_{k+1} entry {(a, b)} degree {d}")
+    total = {}
+    for a in M.actions:
+        total = mat_add(total, a)
+    if total:
+        raise InvariantError("right actions do not sum to zero")
+    for k in range(M.n):
+        for l in range(k + 1, M.n):
+            if not mat_eq(mat_mul(M.actions[k], M.actions[l]),
+                          mat_mul(M.actions[l], M.actions[k])):
+                raise InvariantError(
+                    f"actions x_{k+1}, x_{l+1} do not commute")
+
+
+def check_complex(C, deep: bool = False):
+    """Degree-0 differentials and d^2 = 0 of a BComplex; with deep, also
+    the axioms of every term and differential.  InvariantError if not."""
+    for k, d in C.diffs.items():
+        if d.degree not in (None, 0):
+            raise InvariantError(f"differential at {k} has degree {d.degree}")
+        if k + 1 in C.diffs and not (C.diffs[k + 1] @ d).is_zero:
+            raise InvariantError(f"d^2 != 0 at {k}")
+    if deep:
+        for m in C.objs.values():
+            check_bimodule(m)
+        for d in C.diffs.values():
+            d.check()

@@ -25,6 +25,8 @@ from braidhom.wallcross import (extension_realization,
                                 finite_dimensionality_check,
                                 vassiliev_complex, wall_crossing_map)
 
+from axioms import check_complex
+
 
 def announce(num: int, budget: float, elapsed: float, detail: str):
     assert elapsed < budget, \
@@ -143,7 +145,7 @@ def test_criterion_09_infrastructure_invariants():
     t0 = time.monotonic()
     # differentials square to zero through tensor and elimination
     C = rouquier_complex(Word.parse("3: 1 -2 1"))
-    C.check(deep=True)
+    check_complex(C, deep=True)
     ColumnData(C, None, simplify=True)   # checks every reduced column
     for n, i in ((2, 1), (3, 1), (3, 2)):
         extension_realization(n, i)   # chain maps, termwise exactness

@@ -13,17 +13,19 @@ from braidhom.complexes import (BComplex, ChainMap, crossing_change_ses,
 from braidhom.homology import ColumnData, DegreeWindow, scan_bounds
 from braidhom.linalg import InvariantError
 
+from axioms import check_complex
+
 
 def test_crossing_complexes_are_complexes():
     for n, i in ((2, 1), (3, 1), (3, 2)):
-        positive_crossing_complex(n, i).check(deep=True)
-        negative_crossing_complex(n, i).check(deep=True)
+        check_complex(positive_crossing_complex(n, i), deep=True)
+        check_complex(negative_crossing_complex(n, i), deep=True)
 
 
 def test_tensor_squares_to_zero():
     for text in ("2: 1 1", "2: 1 -1", "3: 1 2", "3: 1 -2 1"):
         C = rouquier_complex(Word.parse(text))
-        C.check(deep=True)
+        check_complex(C, deep=True)
 
 
 def test_tensor_rank_bookkeeping():
@@ -41,8 +43,8 @@ def test_tensor_associativity_degreewise():
     C = positive_crossing_complex(3, 1)
     left = tensor(tensor(A, B), C)
     right = tensor(A, tensor(B, C))
-    left.check()
-    right.check()
+    check_complex(left)
+    check_complex(right)
     assert left.degrees == right.degrees
     for k in left.degrees:
         assert sorted(left.objs[k].gens) == sorted(right.objs[k].gens)
@@ -60,7 +62,7 @@ def test_crossing_change_ses_is_exact_chainwise():
     for n, i in ((2, 1), (3, 2)):
         X, E, Y1, iota, pi = crossing_change_ses(n, i)
         for c in (X, E, Y1):
-            c.check(deep=True)
+            check_complex(c, deep=True)
         iota.check()
         pi.check()
         for k in (-1, 0):
@@ -76,7 +78,7 @@ def test_cone_of_identity_cancels_completely():
     cone = crossing_change_ses(2, 1)[1]
     assert cone.diffs and all(d.mat == identity_map(d.src).mat
                               for d in cone.diffs.values())
-    cone.check(deep=True)
+    check_complex(cone, deep=True)
     window = DegreeWindow(max_degree=12)
     for simplify in (True, False):
         data = ColumnData(cone, None, simplify=simplify)
@@ -115,7 +117,8 @@ def test_failed_complex_checks_raise_invariant_error():
         BComplex(2, {-1: d.tgt, 0: d.tgt}, {-1: d})
     one = identity_map(d.tgt)
     with pytest.raises(InvariantError, match="d\\^2"):
-        BComplex(2, {0: d.tgt, 1: d.tgt, 2: d.tgt}, {0: one, 1: one}).check()
+        check_complex(BComplex(2, {0: d.tgt, 1: d.tgt, 2: d.tgt},
+                               {0: one, 1: one}))
     with pytest.raises(InvariantError, match="does not commute"):
         ChainMap(X, X, {0: identity_map(X.objs[0])}).check()
 

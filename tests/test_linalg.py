@@ -362,13 +362,42 @@ except InvariantError as e:
 """
 
 
-def test_solve_length_check_survives_python_O():
+def run_optimized(code: str) -> str:
+    """stdout and stderr of code run under python -O on this package."""
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SOLVE],
+    done = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, check=True,
                           env={"PYTHONPATH": str(src)})
-    assert done.stdout.startswith("raised: right-hand side of length 1 for "
-                                  "2 rows"), done.stdout + done.stderr
+    return done.stdout + done.stderr
+
+
+def test_solve_length_check_survives_python_O():
+    assert run_optimized(OPTIMIZED_SOLVE).startswith(
+        "raised: right-hand side of length 1 for 2 rows")
+
+
+def test_incoming_rank_beyond_the_cycles_raises_invariant_error():
+    # out kills the first of two coordinates: one cycle dimension
+    with pytest.raises(InvariantError, match="2 independent boundaries"):
+        SubquotientBasis(2, {(0, 0): 1}, 1, {}, 2)
+    # a known rank that the boundaries do not have
+    with pytest.raises(InvariantError, match="rank 1, not the known 0"):
+        SubquotientBasis(2, {}, 0, {(0, 0): 1}, 0)
+
+
+OPTIMIZED_RANK = """
+from braidhom.linalg import InvariantError, SubquotientBasis
+assert False, "asserts must be stripped"
+try:
+    SubquotientBasis(2, {(0, 0): 1}, 1, {}, 2)
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_incoming_rank_check_survives_python_O():
+    assert run_optimized(OPTIMIZED_RANK).startswith(
+        "raised: 2 independent boundaries in 1 cycle dimensions")
 
 
 # -- the echelon form, against the left-to-right scan -------------------------
@@ -580,6 +609,66 @@ def test_subquotient_matches_the_cycle_list_reference(case, coeffs):
         sq.express([0] * (dim + 1))
 
 
+@st.composite
+def slice_complexes_some_exact(draw):
+    """slice_complexes, with the kernel basis of out, scaled, joining the
+    boundaries in half the draws, which makes those slices exact."""
+    dim, out, out_dim, inc = draw(slice_complexes())
+    if draw(st.booleans()):
+        cycles = Echelon(rows_from_entries(out, out_dim), dim).kernel_basis()
+        width = 1 + max((c for _r, c in inc), default=-1)
+        for j, z in enumerate(cycles):
+            a = draw(st.integers(-2, 2).filter(bool))
+            inc.update({(r, width + j): a * v for r, v in enumerate(z) if v})
+    return dim, out, out_dim, inc
+
+
+EXACT = (3, {(0, 0): 1, (0, 1): 1, (0, 2): 1}, 1,
+         {(0, 0): 1, (1, 0): -1, (1, 1): 2, (2, 1): -2})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(slice_complexes_some_exact(), st.lists(st.integers(-2, 2),
+                                              min_size=10, max_size=10))
+@example(EXACT, [1] * 10)
+def test_subquotient_given_the_incoming_rank_matches_the_reference(case,
+                                                                   coeffs):
+    dim, out, out_dim, inc = case
+    rank = matrix_rank(inc, dim, 1 + max((c for _r, c in inc), default=-1))
+    called = []
+
+    def lazy():
+        called.append(True)
+        return inc
+
+    sq = SubquotientBasis(dim, out, out_dim, lazy, rank)
+    plain = SubquotientBasis(dim, out, out_dim, inc)
+    ref = reference(dim, out, out_dim, inc)
+    assert sq.out_rank == plain.out_rank == matrix_rank(out, out_dim, dim)
+    assert (sq.dim, sq.classes, sq.reps) == (ref.dim, plain.classes, ref.reps)
+    assert (sq.standard, sq.whole) == (plain.standard, plain.whole)
+    exact = sq.dim == 0
+    # an exact slice never assembles nor spans its boundaries
+    assert called == ([] if exact else [True])
+    assert sq.boundary_basis == (None if exact else ref.boundary_basis)
+    mixed = [Fraction(0)] * dim
+    for a, v in zip(coeffs, ref.reps + ref.boundary_basis):
+        mixed = [x + Fraction(a, 2) * y for x, y in zip(mixed, v)]
+    for vec in identity(dim) + [mixed]:
+        try:
+            want = ref.express(vec)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sq.express(vec)
+        else:
+            assert sq.express(vec) == want
+    # non-cycles are refused, on exact slices too
+    for c in {c for (_r, c), v in out.items() if v}:
+        with pytest.raises(ValueError):
+            sq.express(identity(dim)[c])
+
+
 def test_quotient_space_reps_match_the_identity_list_on_sln_slices():
     # mfact._leads and the class weights read the representatives, so
     # they must be the same vectors in the same order as the greedy
@@ -597,7 +686,7 @@ def test_quotient_space_reps_match_the_identity_list_on_sln_slices():
                     out = sl.diff(sigma)
                     if not dim or not inc:
                         continue
-                    sq = slice_subquotient(sl, sigma)
+                    sq = slice_subquotient(sl, sigma, {})
                     ref = reference(dim, out, sl.dim(sl.next(sigma)), inc)
                     probes = identity(dim) + [
                         [Fraction(t + 1, 2) for t in range(dim)],

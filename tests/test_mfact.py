@@ -4,8 +4,10 @@ from braidhom.bimodule import (aux_bimodules, bs_bimodule, identity_bimodule)
 from braidhom.braid import Word
 from braidhom.complexes import rouquier_complex
 from braidhom.conventions import match_exact, oracle_specialized, sln_euler
-from braidhom.homology import (ColumnData, TriGradedSpace, homfly_homology,
-                               koszul_column)
+from braidhom.homology import (ColumnData, DegreeWindow, TriGradedSpace,
+                               homfly_homology, koszul_column, scan_bounds,
+                               scan_degrees)
+from braidhom.linalg import matrix_rank
 from braidhom.mfact import (collapse_coefficient, folded_column,
                             sln_homology, z_factorization)
 from braidhom.oracle import homfly_oracle
@@ -168,6 +170,41 @@ def test_columns_keeping_a_differential_keep_their_word_maps():
     data = ColumnData(rouquier_complex(Word.parse("3: 1 -2 1 -2")), 2, True)
     assert [data.cols[k].rank for k in data.degrees] == [8, 20, 24, 20, 8]
     assert all(col.diff for col in data.cols.values())
+
+
+def test_rank_memo_holds_the_rank_of_each_slice_differential():
+    # after the degree scan of sln_homology the memo of each column k
+    # holds {sigma: rank of the differential out of sigma} for every
+    # nonempty slice visited; the slices with an incoming map took its
+    # rank from the memo, and the exact ones among them spanned nothing
+    fed = exact = 0
+    for text, N in (("3: 1 -2 1 -2", 2), ("3: 1 -2 1 -2", 3),
+                    ("2: 1 1 1 1 1", 3)):
+        data = ColumnData(rouquier_complex(Word.parse(text)), N, True)
+
+        def visit(q):
+            return sum(sum(data.tower(sigma)[2].values())
+                       for sigma in data.sigmas(q))
+
+        lo, hi, top = scan_bounds(data.cols.values(), DegreeWindow())
+        needed = DegreeWindow().margin * (N + 1)
+        stabilized, last = scan_degrees(lo, max(hi, top + needed), top,
+                                        needed, visit)
+        assert stabilized
+        for k, memo in data.ranks.items():
+            sl = data.slicers[k]
+            assert set(memo) == {sigma for q in range(lo, last + 1)
+                                 for sigma in sl.sigmas(q) if sl.dim(sigma)}
+            for sigma, rank in memo.items():
+                dim, nxt = sl.dim(sigma), sl.next(sigma)
+                assert rank == matrix_rank(sl.diff(sigma), sl.dim(nxt), dim)
+                inc = memo.get(sl.prev(sigma), 0)
+                fed += bool(inc)
+                if inc and dim == rank + inc:
+                    sq = data.stage(k, sigma)
+                    assert sq.dim == 0 and sq.boundary_basis is None
+                    exact += 1
+    assert fed > 300 and exact > 100
 
 
 def test_rank_must_be_a_positive_integer():
