@@ -18,8 +18,10 @@ Shifts: M.shift(a) raises all generator degrees by a (so elements become
 "more positive"); map degrees are always inferred from the entries.
 
 Matrices are sparse dicts {(row, col): Poly}.  Their products are
-Poly-only: mat_mul adds every term product of one output entry into one
-plain term dict and builds one canonical Poly per entry.  Scalar slice
+Poly-only and build one canonical Poly per entry: mat_mul adds every
+term product of one output entry into one plain term dict, and so does
+Bimodule.right_mult_matrix with the c m terms of every monomial c m of
+its polynomial, each m a product of the action matrices.  Scalar slice
 matrices (the output of graded_map_entries) are multiplied by
 linalg.mat_mat and linalg.mat_vec.
 """
@@ -133,15 +135,36 @@ class Bimodule:
                        mat_neg(self.action(j)))
 
     def right_mult_matrix(self, p: Poly) -> Mat:
-        """Matrix of the right action of a one-sided poly p(x_1..x_{n-1})."""
+        """Matrix of the right action of a one-sided poly p(x_1..x_{n-1}).
+
+        Each monomial of p starts from its first action matrix (a
+        constant goes straight onto the diagonal), the c m terms of every
+        entry are added into one plain term dict, and each entry becomes
+        one canonical Poly; zero entries are dropped."""
         assert not p.two_sided and p.n == self.n
-        out: Mat = {}
+        sums: dict = {}
         for mono, c in p.terms.items():
-            m = mat_scale(Poly.const(self.n, c), mat_identity(self.rank, self.n))
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    m = mat_mul(m, self.actions[i])
-            out = mat_add(out, m)
+            factors = [act for act, e in zip(self.actions, mono)
+                       for _ in range(e)]
+            if not factors:
+                for a in range(self.rank):
+                    acc = sums.setdefault((a, a), {})
+                    acc[mono] = acc.get(mono, 0) + c
+                continue
+            m = factors[0]
+            for act in factors[1:]:
+                m = mat_mul(m, act)
+            for key, q in m.items():
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                for t, v in q.terms.items():
+                    acc[t] = acc.get(t, 0) + c * v
+        out: Mat = {}
+        for key, acc in sums.items():
+            q = Poly(self.n, acc)
+            if q:
+                out[key] = q
         return out
 
     def two_sided_action(self, p: Poly) -> Mat:
@@ -210,14 +233,6 @@ class BimoduleMap:
     @property
     def is_zero(self) -> bool:
         return not self.mat
-
-    def __matmul__(self, other: "BimoduleMap") -> "BimoduleMap":
-        """self after other."""
-        assert other.tgt is self.src or other.tgt.gens == self.src.gens
-        return BimoduleMap(other.src, self.tgt, mat_mul(self.mat, other.mat))
-
-    def __add__(self, other: "BimoduleMap") -> "BimoduleMap":
-        return BimoduleMap(self.src, self.tgt, mat_add(self.mat, other.mat))
 
     def __neg__(self) -> "BimoduleMap":
         return BimoduleMap(self.src, self.tgt, mat_neg(self.mat))

@@ -8,7 +8,10 @@ module reduces such objects by cancelling invertible constant entries of
 the differential, tracking the homotopy equivalence so that maps between
 columns can be conjugated onto the reduced models.  The same reduction
 runs in the word direction on a complex of columns that have no
-differential left (homology.cancel_word_pivots).
+differential left (homology.cancel_word_pivots), which keeps only the
+reduced object and so builds no homotopy maps (eliminate(maps=False)).
+Every entry update is one fused product: poly.add_products adds its
+terms into a copy of the old entry's terms, and one Poly is built.
 
 Generators carry a pair (hdeg, qdeg): an auxiliary homological index
 (exterior weight for Koszul columns, unused for folded factorizations)
@@ -22,7 +25,7 @@ from heapq import heappop, heappush
 
 from .bimodule import entry_degree, mat_clean, mat_mul
 from .linalg import InvariantError
-from .poly import Poly
+from .poly import Poly, add_products
 from .rational import quotient
 
 
@@ -59,20 +62,27 @@ class DiffObject:
         if mat_mul(self.diff, self.diff):
             raise InvariantError("d^2 != 0")
 
-    def eliminate(self):
+    def eliminate(self, maps: bool = True):
         """Cancel constant pivots of the differential.
 
         Returns (reduced, F, G) where F: original -> reduced and
-        G: reduced -> original are chain maps with F G = id.  Pivots are
-        chosen deterministically: each is the constant entry of smallest
-        fill (length of its row times length of its column), ties broken
-        by (row, column).  The candidates sit in a heap of
+        G: reduced -> original are chain maps with F G = id; with
+        maps=False, F and G are not built and come back as None, for a
+        caller that keeps only the reduced object.  Pivots are chosen
+        deterministically: each is the constant entry of smallest fill
+        (length of its row times length of its column), ties broken by
+        (row, column).  The candidates sit in a heap of
         (fill, (row, column)); a step marks every row and column whose
         entries it changed, the constant entries of those are pushed
         with fresh keys before the next pop, and a popped item that is
         no longer constant or whose key is stale is skipped.  So every
         pop is the minimum over all constant entries, without a scan of
         them.
+
+        Every update e - a b (of the differential, F or G) is fused: the
+        terms of -a b are added into a copy of the terms of e
+        (poly.add_products) and one canonical Poly is built, as in
+        bimodule.mat_mul.
         """
         n = self.n
         rows: dict = {}
@@ -85,8 +95,10 @@ class DiffObject:
         dirty_rows = set(rows)  # the first refresh pushes every candidate
         dirty_cols: set = set()
         alive = set(range(self.rank))
-        Fmap = {i: {i: Poly.one(n)} for i in alive}
-        Gmap = {j: {j: Poly.one(n)} for j in alive}
+        if maps:
+            Fmap = {i: {i: Poly.one(n)} for i in alive}
+            Gmap = {j: {j: Poly.one(n)} for j in alive}
+        zero = (0,) * (n - 1)
 
         def entry_set(i, j, p):
             dirty_rows.add(i)
@@ -102,6 +114,12 @@ class DiffObject:
                 rows.get(i, {}).pop(j, None)
                 cols.get(j, {}).pop(i, None)
                 const.discard((i, j))
+
+        def plus_product(cur, left: dict, right: dict) -> Poly:
+            """cur + left right for an entry cur (None for zero) and term
+            dicts left and right, as one canonical Poly."""
+            acc = dict(cur.terms) if cur is not None else {}
+            return Poly(n, add_products(acc, left, right))
 
         def refresh():
             for i in dirty_rows:
@@ -128,37 +146,38 @@ class DiffObject:
                     break
             else:
                 break
-            alpha = rows[r0][c0]
-            inv = Poly.const(n, quotient(1, alpha.terms[(0,) * (n - 1)]))
+            inv = quotient(1, rows[r0][c0].terms[zero])
             row = {j: p for j, p in rows[r0].items() if j != c0}
             col = {i: p for i, p in cols[c0].items() if i != r0}
+            # -col[i] inv, the left factor of every update in row i
+            neg = {i: {m: -(c * inv) for m, c in pi.terms.items()}
+                   for i, pi in col.items()}
             # differential update d[i, j] -= col[i] inv row[j]
-            for i, pi in col.items():
-                coeff = pi * inv
+            for i, left in neg.items():
                 for j, pj in row.items():
-                    cur = rows.get(i, {}).get(j, Poly.zero(n))
-                    entry_set(i, j, cur - coeff * pj)
-            # homotopy equivalence update
-            fr0 = Fmap[r0]
-            for i, pi in col.items():
-                coeff = pi * inv
-                fi = Fmap[i]
-                for o, q in fr0.items():
-                    v = fi.get(o, Poly.zero(n)) - coeff * q
-                    if v:
-                        fi[o] = v
-                    else:
-                        fi.pop(o, None)
-            gc0 = Gmap[c0]
-            for j, pj in row.items():
-                coeff = inv * pj
-                gj = Gmap[j]
-                for o, q in gc0.items():
-                    v = gj.get(o, Poly.zero(n)) - q * coeff
-                    if v:
-                        gj[o] = v
-                    else:
-                        gj.pop(o, None)
+                    entry_set(i, j, plus_product(rows.get(i, {}).get(j),
+                                                 left, pj.terms))
+            if maps:
+                # homotopy equivalence update
+                fr0 = Fmap[r0]
+                for i, left in neg.items():
+                    fi = Fmap[i]
+                    for o, q in fr0.items():
+                        v = plus_product(fi.get(o), left, q.terms)
+                        if v:
+                            fi[o] = v
+                        else:
+                            fi.pop(o, None)
+                gc0 = Gmap[c0]
+                for j, pj in row.items():
+                    right = {m: -(inv * c) for m, c in pj.terms.items()}
+                    gj = Gmap[j]
+                    for o, q in gc0.items():
+                        v = plus_product(gj.get(o), q.terms, right)
+                        if v:
+                            gj[o] = v
+                        else:
+                            gj.pop(o, None)
             # retire the two generators and every entry touching them
             for g in (r0, c0):
                 for j in list(rows.get(g, ())):
@@ -172,8 +191,9 @@ class DiffObject:
                     dirty_rows.add(i)
                 cols.pop(g, None)
                 alive.discard(g)
-                Fmap.pop(g, None)
-                Gmap.pop(g, None)
+                if maps:
+                    Fmap.pop(g, None)
+                    Gmap.pop(g, None)
 
         order = sorted(alive)
         index = {old: new for new, old in enumerate(order)}
@@ -183,6 +203,9 @@ class DiffObject:
         for i in order:
             for j, p in rows.get(i, {}).items():
                 diff[(index[i], index[j])] = p
+        reduced = DiffObject(self.n, gens, diff, labels)
+        if not maps:
+            return reduced, None, None
         F = {}
         for i in order:
             for o, p in Fmap[i].items():
@@ -191,7 +214,7 @@ class DiffObject:
         for j in order:
             for o, p in Gmap[j].items():
                 G[(o, index[j])] = p
-        return DiffObject(self.n, gens, diff, labels), F, G
+        return reduced, F, G
 
     def __repr__(self):
         return f"DiffObject(rank={self.rank}, nnz={len(self.diff)})"

@@ -81,14 +81,14 @@ python -O.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 
 from .bimodule import Bimodule, GradedFreeBasis, graded_map_entries
 from .braid import Word
 from .complexes import BComplex, rouquier_complex
 from .diffobj import DiffObject, conjugate
 from .laurent import Laurent2
-from .linalg import InvariantError, SubquotientBasis, mat_mat, matrix_rank
+from .linalg import (InvariantError, SubquotientBasis, cleared, mat_mat,
+                     matrix_rank)
 from .poly import graded_piece, phi
 
 
@@ -489,17 +489,6 @@ def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
     return out
 
 
-def _cleared(m: dict) -> dict:
-    """m times the lcm of its denominators: an integer matrix.  A
-    nonzero scale changes neither the rank nor whether a product
-    vanishes."""
-    den = 1
-    for v in m.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    return {key: v.numerator * (den // v.denominator)
-            for key, v in m.items()}
-
-
 def _compose(m2: dict, m1: dict) -> dict:
     """m2 after m1; its own name so that traces time the tower's
     d^2 = 0 checks apart from other products."""
@@ -513,7 +502,7 @@ def tower_homology(dims: dict, mats: dict) -> dict:
     consecutive maps compose to zero, then applies rank-nullity, both on
     the maps cleared to integers.
     """
-    mats = {k: _cleared(m) for k, m in mats.items()}
+    mats = {k: cleared(m) for k, m in mats.items()}
     for k in mats:
         if k + 1 in mats and _compose(mats[k + 1], mats[k]):
             raise InvariantError(
@@ -536,7 +525,8 @@ def cancel_word_pivots(n: int, cols: dict, kmaps: dict):
 
     The columns {k: DiffObject} and word maps {k: column k -> k + 1}
     are assembled into one object, generators (k, q) labelled (k, index
-    in column k), checked, reduced by DiffObject.eliminate and checked
+    in column k), checked, reduced by DiffObject.eliminate (without the
+    homotopy maps F and G, which nothing here reads) and checked
     again; returns the surviving columns (their generators and labels
     kept, no differential) and the reduced word maps between them.
     Every word-map entry must join two generators of one exterior
@@ -561,7 +551,7 @@ def cancel_word_pivots(n: int, cols: dict, kmaps: dict):
             diff[(offset[k + 1] + r, offset[k] + c)] = p
     word = DiffObject(n, gens, diff, labels)
     word.check(dh=1, dq=0)
-    red = word.eliminate()[0]
+    red = word.eliminate(maps=False)[0]
     red.check(dh=1, dq=0)
     keep: dict = {k: [] for k in degrees}
     where = []

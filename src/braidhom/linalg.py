@@ -10,8 +10,9 @@ of the others.  Row operations are recorded so a factored matrix can be
 reused for many right-hand sides.
 
 Matrices enter as lists of sparse rows {col: coeff} or as entry dicts
-{(row, col): coeff}, which mat_vec and mat_mat multiply; vectors are
-plain lists.  Coefficients are ints or Fractions: the polynomial layer hands
+{(row, col): coeff}, which mat_vec and mat_mat multiply and cleared
+scales to integers (for rank and vanishing checks); vectors are plain
+lists.  Coefficients are ints or Fractions: the polynomial layer hands
 in canonical values (rational.py: an int when integral), so most
 arithmetic stays on ints, and every division goes through
 rational.quotient, so no float can arise.
@@ -265,6 +266,17 @@ def mat_mat(a: dict, b: dict) -> dict:
                 acc[j] = acc.get(j, 0) + u * v
     return {(i, j): v for i, acc in rows.items() for j, v in acc.items()
             if v}
+
+
+def cleared(m: dict) -> dict:
+    """m times the lcm of its denominators: an integer matrix.  A
+    nonzero scale changes neither the rank nor whether a product
+    vanishes."""
+    den = 1
+    for v in m.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    return {key: v.numerator * (den // v.denominator)
+            for key, v in m.items()}
 
 
 class RowSpace:

@@ -78,7 +78,7 @@ from .complexes import (BComplex, ChainMap, crossing_change_ses,
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
                        column_map, grading_shift, scan_bounds, scan_degrees,
                        tower_homology)
-from .linalg import (Echelon, InvariantError, mat_mat, mat_vec,
+from .linalg import (Echelon, InvariantError, cleared, mat_mat, mat_vec,
                      matrix_rank, rows_from_entries)
 from .poly import monomial_count
 from .rational import exact, quotient
@@ -246,7 +246,11 @@ class _Edge:
         """Build the projection (middle to source) and inclusion (target
         to middle) blocks of one slice, factor each once, check on those
         factorizations that the tensored sequence stays exact there
-        (InvariantError if not), and keep both for the snakes."""
+        (InvariantError if not), and keep both for the snakes.  The
+        projection after inclusion is multiplied with the inclusion
+        cleared to integers: a rational wall scale makes every inclusion
+        block a Fraction matrix, and a nonzero scale does not change
+        whether the product vanishes."""
         mid_sl = self.mid.slicers[k]
         pi_m = mid_sl.cross(self.pi_cols[k], self.src.slicers[k], sigma)
         io_m = self.tgt.slicers[k].cross(self.iota_cols[k], mid_sl, sigma)
@@ -258,7 +262,7 @@ class _Edge:
                 (de != dx + dy, "slice ranks are not exact"),
                 (pi.rank != dy, "projection is not onto"),
                 (iota.rank != dx, "inclusion is not injective"),
-                (mat_mat(pi_m, io_m),
+                (mat_mat(pi_m, cleared(io_m)),
                  "projection after inclusion is nonzero")):
             if failed:
                 raise InvariantError(f"{what} at step {k}, slice {sigma}")

@@ -2,8 +2,15 @@
 run: the pipelines check the objects they build through DiffObject,
 BimoduleMap and ChainMap instead."""
 
-from braidhom.bimodule import entry_degree, mat_add, mat_eq, mat_mul
+from braidhom.bimodule import (BimoduleMap, entry_degree, mat_add, mat_eq,
+                               mat_mul)
 from braidhom.linalg import InvariantError
+
+
+def compose(f, g):
+    """The bimodule map f after g."""
+    assert g.tgt is f.src or g.tgt.gens == f.src.gens
+    return BimoduleMap(g.src, f.tgt, mat_mul(f.mat, g.mat))
 
 
 def check_bimodule(M):
@@ -35,7 +42,7 @@ def check_complex(C, deep: bool = False):
     for k, d in C.diffs.items():
         if d.degree not in (None, 0):
             raise InvariantError(f"differential at {k} has degree {d.degree}")
-        if k + 1 in C.diffs and not (C.diffs[k + 1] @ d).is_zero:
+        if k + 1 in C.diffs and not compose(C.diffs[k + 1], d).is_zero:
             raise InvariantError(f"d^2 != 0 at {k}")
     if deep:
         for m in C.objs.values():

@@ -10,14 +10,15 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
                                aux_bimodules, bs_bimodule, extension_bimodule,
                                graded_map_entries, identity_bimodule,
-                               identity_map, mat_eq, mat_mul,
-                               merge_projection, split_inclusion, tensor_mat)
+                               identity_map, mat_add, mat_eq, mat_identity,
+                               mat_mul, mat_scale, merge_projection,
+                               split_inclusion, tensor_mat)
 from braidhom.diffobj import DiffObject
 from braidhom.linalg import InvariantError, matrix_rank
 from braidhom import mfact
 from braidhom.poly import Poly, graded_piece, phi
 
-from axioms import check_bimodule
+from axioms import check_bimodule, compose
 
 
 def test_constructors_satisfy_axioms():
@@ -54,7 +55,7 @@ def test_merge_after_split_is_variable_difference():
     B = bs_bimodule(n, i)
     iota = BimoduleMap(S, B, {(0, 0): Poly.x(n, i), (1, 0): Poly.const(n, -1)})
     mu = BimoduleMap(B, S, {(0, 0): Poly.one(n), (0, 1): Poly.x(n, i + 1)})
-    comp = mu @ iota
+    comp = compose(mu, iota)
     assert comp.mat == {(0, 0): Poly.x(n, i) - Poly.x(n, i + 1)}
     assert iota.degree == 1 and mu.degree == 1 and comp.degree == 2
 
@@ -67,12 +68,12 @@ def test_extension_module_maps():
             assert f.degree == 0, name
             f.check()
         # composites along the two exact rows vanish
-        assert (maps["quotient"] @ maps["uv_inclusion"]).is_zero
-        assert (maps["evaluation"] @ maps["u_inclusion"]).is_zero
+        assert compose(maps["quotient"], maps["uv_inclusion"]).is_zero
+        assert compose(maps["evaluation"], maps["u_inclusion"]).is_zero
         # commuting squares gluing the rows to the crossing complexes
-        assert mat_eq((maps["u_inclusion"] @ split_inclusion(n, i)).mat,
+        assert mat_eq(compose(maps["u_inclusion"], split_inclusion(n, i)).mat,
                       maps["uv_inclusion"].mat)
-        assert mat_eq((merge_projection(n, i) @ maps["quotient"]).mat,
+        assert mat_eq(compose(merge_projection(n, i), maps["quotient"]).mat,
                       maps["evaluation"].mat)
 
 
@@ -126,7 +127,7 @@ def test_map_tensor_functorial():
     idB = identity_map(B)
     # (mu (x) id) after (iota (x) id) == (mu iota) (x) id
     lhs = mat_mul(tensor_mat(mu, idB), tensor_mat(iota, idB))
-    rhs = tensor_mat(mu @ iota, idB)
+    rhs = tensor_mat(compose(mu, iota), idB)
     assert mat_eq(lhs, rhs)
     # identity tensor identity is the identity
     both = tensor_mat(identity_map(S), idB)
@@ -325,6 +326,58 @@ def test_fused_product_matches_the_poly_by_poly_reference(pair):
         assert p and all(c and (type(c) is int if c.denominator == 1
                                 else type(c) is Fraction)
                          for c in p.terms.values()), p.terms
+
+
+# -- right actions -----------------------------------------------------------
+
+def reference_right_mult_matrix(M: Bimodule, p: Poly) -> dict:
+    """The right action of p: each monomial c m as c times the identity,
+    multiplied by the action matrices one by one, summed with mat_add."""
+    out: dict = {}
+    for mono, c in p.terms.items():
+        m = mat_scale(Poly.const(M.n, c), mat_identity(M.rank, M.n))
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                m = mat_mul(m, M.actions[i])
+        out = mat_add(out, m)
+    return out
+
+
+RIGHT_ACTION_MODULES = (
+    [identity_bimodule(n) for n in (1, 2, 3)]
+    + [make(n, i) for make in (bs_bimodule, extension_bimodule)
+       for n, i in ((2, 1), (3, 1), (3, 2))]
+    + [M.tensor(M) for M in (bs_bimodule(2, 1), extension_bimodule(3, 2))])
+
+
+@st.composite
+def right_actions(draw):
+    """A constructor bimodule or a tensor square, and a one-sided poly
+    of one to four terms of degree 0, 1 or 2 with half-integer
+    coefficients."""
+    M = draw(st.sampled_from(RIGHT_ACTION_MODULES))
+    mono = st.tuples(*[st.integers(0, 2)] * (M.n - 1)).filter(
+        lambda m: sum(m) <= 2)
+    coef = st.fractions(-2, 2, max_denominator=2).filter(bool)
+    terms = draw(st.dictionaries(mono, coef, min_size=1, max_size=4))
+    return M, Poly(M.n, terms)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(right_actions())
+# a pure constant: straight onto the diagonal
+@example((bs_bimodule(3, 1), Poly.const(3, Fraction(-3, 2))))
+# n = 1: the only monomial is the empty tuple
+@example((identity_bimodule(1), Poly.const(1, 2)))
+def test_right_mult_matrix_matches_the_identity_product(case):
+    M, p = case
+    got = M.right_mult_matrix(p)
+    assert got == reference_right_mult_matrix(M, p)
+    for q in got.values():
+        assert q and all(c and (type(c) is int if c.denominator == 1
+                                else type(c) is Fraction)
+                         for c in q.terms.values()), q.terms
 
 
 # -- the checks raise InvariantError, also under python -O -------------------

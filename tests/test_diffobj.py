@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from braidhom.bimodule import mat_eq, mat_mul
 from braidhom.braid import Word
@@ -186,12 +187,27 @@ def reference_eliminate(obj: DiffObject):
     return DiffObject(n, gens, diff, labels), F, G
 
 
+def is_canonical(p: Poly) -> bool:
+    """A nonzero Poly whose coefficients are an int when integral and a
+    Fraction otherwise."""
+    return bool(p) and all(
+        c and (type(c) is int if c.denominator == 1 else type(c) is Fraction)
+        for c in p.terms.values())
+
+
 def assert_same_elimination(obj: DiffObject):
     red, F, G = obj.eliminate()
     ref, F0, G0 = reference_eliminate(obj)
     assert red.gens == ref.gens and red.labels == ref.labels
     assert red.diff == ref.diff
     assert F == F0 and G == G0
+    # without the homotopy maps: the same reduced object, and no maps
+    bare, F1, G1 = obj.eliminate(maps=False)
+    assert F1 is None and G1 is None
+    assert bare.gens == ref.gens and bare.labels == ref.labels
+    assert bare.diff == ref.diff
+    for m in (red.diff, F, G, bare.diff):
+        assert all(is_canonical(p) for p in m.values()), m
 
 
 @st.composite
@@ -215,6 +231,12 @@ def sparse_objects(draw):
 @settings(derandomize=True, max_examples=150, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(sparse_objects())
+# a pivot 2 whose inverse 1/2 meets a column entry 2: each update term
+# is a product of Fractions that is integral, and G picks up a half
+@example(DiffObject(2, [(0, 0)] * 4,
+                    {(1, 0): Poly.const(2, 2), (2, 0): Poly.const(2, 2),
+                     (1, 3): Poly.x(2, 1), (2, 3): 3 * Poly.x(2, 1)},
+                    [0, 1, 2, 3]))
 def test_heap_pivot_order_matches_the_scan(obj):
     assert_same_elimination(obj)
 
@@ -226,9 +248,9 @@ def corpus_objects(text: str, N) -> list:
     seen = []
     plain = DiffObject.eliminate
 
-    def recording(self):
+    def recording(self, *args, **kwargs):
         seen.append(self)
-        return plain(self)
+        return plain(self, *args, **kwargs)
 
     DiffObject.eliminate = recording
     try:
