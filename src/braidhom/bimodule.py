@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .linalg import InvariantError
-from .poly import Poly, add_products, graded_piece
+from .poly import Poly, add_products, graded_piece, unpack
 
 # sparse matrix over S: {(row, col): Poly}
 Mat = dict
@@ -144,7 +144,8 @@ class Bimodule:
         assert not p.two_sided and p.n == self.n
         sums: dict = {}
         for mono, c in p.terms.items():
-            factors = [act for act, e in zip(self.actions, mono)
+            factors = [act for act, e in zip(self.actions,
+                                             unpack(mono, self.n - 1))
                        for _ in range(e)]
             if not factors:
                 for a in range(self.rank):
@@ -187,18 +188,14 @@ class Bimodule:
         """
         assert self.n == other.n
         gens = tuple(g + h for g in self.gens for h in other.gens)
-        rn, ro = self.rank, other.rank
+        ro = other.rank
         actions = []
         for k in range(1, self.n + 1):
             ak: Mat = {}
             for (bp, b), p in other.action(k).items():
-                push = self.right_mult_matrix(p)
-                for (ap, a), q in push.items():
-                    key = (ap * ro + bp, a * ro + b)
-                    if key in ak:
-                        ak[key] = ak[key] + q
-                    else:
-                        ak[key] = q
+                # b, bp < ro: distinct entry pairs give distinct keys
+                for (ap, a), q in self.right_mult_matrix(p).items():
+                    ak[(ap * ro + bp, a * ro + b)] = q
             actions.append(ak)
         return Bimodule(self.n, gens, actions)
 
@@ -263,13 +260,11 @@ def tensor_mat(f: BimoduleMap, g: BimoduleMap) -> Mat:
     mat: Mat = {}
     for (bp, b), p in g.mat.items():
         push = f.tgt.right_mult_matrix(p)  # rank_tgt x rank_tgt
+        # bp < ro_t and b < ro_s: distinct entry pairs give distinct keys,
+        # and mat_mul has dropped the zero entries
         for (ap, a), q in mat_mul(push, f.mat).items():
-            key = (ap * ro_t + bp, a * ro_s + b)
-            if key in mat:
-                mat[key] = mat[key] + q
-            else:
-                mat[key] = q
-    return mat_clean(mat)
+            mat[(ap * ro_t + bp, a * ro_s + b)] = q
+    return mat
 
 
 def identity_map(m: Bimodule) -> BimoduleMap:

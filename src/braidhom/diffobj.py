@@ -98,7 +98,6 @@ class DiffObject:
         if maps:
             Fmap = {i: {i: Poly.one(n)} for i in alive}
             Gmap = {j: {j: Poly.one(n)} for j in alive}
-        zero = (0,) * (n - 1)
 
         def entry_set(i, j, p):
             dirty_rows.add(i)
@@ -146,7 +145,7 @@ class DiffObject:
                     break
             else:
                 break
-            inv = quotient(1, rows[r0][c0].terms[zero])
+            inv = quotient(1, rows[r0][c0].constant_term())
             row = {j: p for j, p in rows[r0].items() if j != c0}
             col = {i: p for i, p in cols[c0].items() if i != r0}
             # -col[i] inv, the left factor of every update in row i

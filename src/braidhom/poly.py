@@ -8,11 +8,25 @@ of coefficient dicts.  Bimodule constructions also need the two-sided
 ring S (x) S whose right copy uses variables y_1, ..., y_{n-1} with y_n
 eliminated the same way.
 
-A Poly is a sparse mapping {exponent tuple: coefficient}, each
-coefficient an exact rational in the canonical form of rational.py (an
-int when integral, a Fraction otherwise); exponent tuples
-have length n-1 (one-sided) or 2(n-1) (two-sided, x-block then y-block).
-For n = 1 the only monomial is the empty tuple and polys are constants.
+A Poly is a sparse mapping {monomial: coefficient}, each coefficient an
+exact rational in the canonical form of rational.py (an int when
+integral, a Fraction otherwise).  A monomial has n-1 exponents
+(one-sided) or 2(n-1) (two-sided, x-block then y-block) and is stored
+as one packed int, a layout only this module knows: the exponent of
+each variable sits in its own WIDTH-bit field, the first variable most
+significant, and the total degree (the exponent sum) in the lowest
+field.  So the product of two monomials is the sum of their ints, a
+monomial hashes as an int, and the internal degree is twice the lowest
+field, read with MASK.  Int order is the lex order of the exponent
+tuples (the fields are compared first variable first, and equal
+exponents give equal totals), which keeps the order of the piece bases,
+of repr and of split_xy.  Every monomial's total degree is below LIMIT =
+2**(WIDTH-1), which bounds every field; so the sum of two monomials
+carries out of no field, and Poly rejects a term whose total degree
+reaches LIMIT, such as a product past the bound.  pack and unpack
+convert between exponent tuples and packed monomials, and Poly packs
+exponent tuples given as keys.  For n = 1 the only monomial is 0 (the
+empty tuple) and polys are constants.
 add_products is the one multiply-accumulate loop of the package:
 Poly.__mul__ and the matrix product bimodule.mat_mul both run it.
 """
@@ -22,9 +36,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
 
 from .rational import exact
+
+WIDTH = 16
+LIMIT = 1 << (WIDTH - 1)
+MASK = (1 << WIDTH) - 1
 
 
 class Poly:
@@ -36,16 +53,20 @@ class Poly:
     def __init__(self, n: int, terms=None, two_sided: bool = False):
         self.n = n
         self.two_sided = two_sided
-        m = self.nvars
         clean = {}
         if terms:
+            m = self.nvars
             for mono, c in terms.items():
                 if type(c) is not int:
                     c = exact(c)
                 if c:
-                    if type(mono) is not tuple:
-                        mono = tuple(mono)
-                    assert len(mono) == m, (mono, m)
+                    if type(mono) is not int:
+                        mono = pack(mono, m)
+                    # a total below 2 LIMIT (any sum of two monomials)
+                    # reaches LIMIT exactly when this bit is set
+                    elif mono & LIMIT:
+                        raise ValueError(f"monomial of total degree "
+                                         f"{mono & MASK} reaches {LIMIT}")
                     clean[mono] = c
         self.terms = clean
 
@@ -61,8 +82,7 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, c, two_sided: bool = False) -> "Poly":
-        m = 2 * (n - 1) if two_sided else n - 1
-        return cls(n, {(0,) * m: c}, two_sided)
+        return cls(n, {0: c}, two_sided)
 
     @classmethod
     def one(cls, n: int, two_sided: bool = False) -> "Poly":
@@ -74,15 +94,8 @@ class Poly:
         assert 1 <= i <= n
         m = 2 * (n - 1) if two_sided else n - 1
         if i < n:
-            e = [0] * m
-            e[i - 1] = 1
-            return cls(n, {tuple(e): 1}, two_sided)
-        terms = {}
-        for j in range(n - 1):
-            e = [0] * m
-            e[j] = 1
-            terms[tuple(e)] = -1
-        return cls(n, terms, two_sided)
+            return cls(n, {_unit(m, i - 1): 1}, two_sided)
+        return cls(n, {_unit(m, j): -1 for j in range(n - 1)}, two_sided)
 
     @classmethod
     def y(cls, n: int, i: int) -> "Poly":
@@ -90,15 +103,8 @@ class Poly:
         assert 1 <= i <= n
         m = 2 * (n - 1)
         if i < n:
-            e = [0] * m
-            e[n - 1 + i - 1] = 1
-            return cls(n, {tuple(e): 1}, True)
-        terms = {}
-        for j in range(n - 1):
-            e = [0] * m
-            e[n - 1 + j] = 1
-            terms[tuple(e)] = -1
-        return cls(n, terms, True)
+            return cls(n, {_unit(m, n - 1 + i - 1): 1}, True)
+        return cls(n, {_unit(m, n - 1 + j): -1 for j in range(n - 1)}, True)
 
     # --- ring structure ---
 
@@ -158,35 +164,40 @@ class Poly:
         """Internal degree of the top term (every variable has degree 2)."""
         if not self.terms:
             return None
-        return max(2 * sum(m) for m in self.terms)
+        return 2 * max(m & MASK for m in self.terms)
 
     def homogeneous_degree(self):
         """Degree if homogeneous (None for 0); raises otherwise."""
         if not self.terms:
             return None
         monos = iter(self.terms)
-        half = sum(next(monos))
+        half = next(monos) & MASK
         for mono in monos:
-            if sum(mono) != half:
-                degs = sorted({2 * sum(m) for m in self.terms})
+            if (mono & MASK) != half:
+                degs = sorted({2 * (m & MASK) for m in self.terms})
                 raise ValueError(f"not homogeneous: degrees {degs}")
         return 2 * half
+
+    def constant_term(self):
+        """Coefficient of the monomial 1 (0 if it has none)."""
+        return self.terms.get(0, 0)
 
     # --- one-sided <-> two-sided ---
 
     def split_xy(self):
-        """Write a two-sided poly as [(y-monomial, x-part Poly)] pairs.
+        """Write a two-sided poly as [(y-exponents, x-part Poly)] pairs.
 
         Used to apply p(x, y) as an operator on a bimodule: the x-part
-        multiplies on the left and the y-monomial goes through the right
-        action matrices.  Terms are grouped by y-monomial, sorted.
+        multiplies on the left and the y-exponents say how often each
+        right action matrix applies.  Terms are grouped by y-exponent
+        tuple, sorted.
         """
         assert self.two_sided
         k = self.n - 1
         grouped: dict = {}
         for mono, c in self.terms.items():
-            xm, ym = mono[:k], mono[k:]
-            grouped.setdefault(ym, {})[xm] = c
+            e = unpack(mono, 2 * k)
+            grouped.setdefault(e[k:], {})[pack(e[:k], k)] = c
         return [(ym, Poly(self.n, xterms, False))
                 for ym, xterms in sorted(grouped.items())]
 
@@ -201,7 +212,8 @@ class Poly:
         for mono in sorted(self.terms):
             c = self.terms[mono]
             vs = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                          for i, e in enumerate(mono) if e)
+                          for i, e in enumerate(unpack(mono, len(names)))
+                          if e)
             if vs:
                 bits.append(f"{c}*{vs}" if c != 1 else vs)
             else:
@@ -212,14 +224,43 @@ class Poly:
 def add_products(acc: dict, terms1: dict, terms2: dict) -> dict:
     """Add c1 * c2 into acc at m1 + m2 for every term m1: c1 of terms1
     and m2: c2 of terms2, and return acc; the one polynomial product.
-    acc is a plain {exponent tuple: coefficient} dict: the caller turns
-    it into a Poly, which canonicalizes and drops the zero terms."""
+    acc is a plain {packed monomial: coefficient} dict: the caller turns
+    it into a Poly, which canonicalizes, drops the zero terms and
+    rejects a product whose total degree reached LIMIT."""
     get = acc.get
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
-            mono = tuple(map(add, m1, m2))
+            mono = m1 + m2
             acc[mono] = get(mono, 0) + c1 * c2
     return acc
+
+
+def pack(exps, nvars: int) -> int:
+    """The packed monomial of an exponent sequence; ValueError unless it
+    has nvars exponents, none negative, of total degree below LIMIT."""
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise ValueError(f"monomial {exps} needs {nvars} exponents")
+    mono = total = 0
+    for e in exps:
+        if e < 0:
+            raise ValueError(f"monomial {exps} has a negative exponent")
+        mono = (mono << WIDTH) + e
+        total += e
+    if total >= LIMIT:
+        raise ValueError(f"monomial {exps} has total degree {total}, "
+                         f"not below {LIMIT}")
+    return (mono << WIDTH) + total
+
+
+def unpack(mono: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    return tuple((mono >> WIDTH * k) & MASK for k in range(nvars, 0, -1))
+
+
+def _unit(nvars: int, k: int) -> int:
+    """The packed monomial of variable k (0-based) of nvars."""
+    return (1 << WIDTH * (nvars - k)) + 1
 
 
 def monomials(nvars: int, total: int):
@@ -252,20 +293,19 @@ class GradedPiece:
         if degree < 0 or degree % 2:
             self.basis = ()
         else:
-            self.basis = tuple(monomials(m, degree // 2))
+            self.basis = tuple(pack(e, m) for e in monomials(m, degree // 2))
         self.dim = len(self.basis)
         self._index = {mono: k for k, mono in enumerate(self.basis)}
         self._shifts: dict = {}
 
     def shift(self, e) -> list:
         """Indices of e * m, over the basis monomials m, in the piece of
-        degree self.degree + deg(e); built once per monomial e."""
+        degree self.degree + deg(e); built once per packed monomial e."""
         rows = self._shifts.get(e)
         if rows is None:
-            index = graded_piece(self.n, self.degree + 2 * sum(e),
+            index = graded_piece(self.n, self.degree + 2 * (e & MASK),
                                  self.two_sided)._index
-            rows = self._shifts[e] = [index[tuple(map(add, e, m))]
-                                      for m in self.basis]
+            rows = self._shifts[e] = [index[e + m] for m in self.basis]
         return rows
 
 

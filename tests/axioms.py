@@ -1,6 +1,11 @@
 """Axiom checks of bimodules and bimodule complexes that only the tests
 run: the pipelines check the objects they build through DiffObject,
-BimoduleMap and ChainMap instead."""
+BimoduleMap and ChainMap instead; and run_optimized, which runs code
+under python -O to show that a check survives the stripped asserts."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 from braidhom.bimodule import (BimoduleMap, entry_degree, mat_add, mat_eq,
                                mat_mul)
@@ -34,6 +39,15 @@ def check_bimodule(M):
                           mat_mul(M.actions[l], M.actions[k])):
                 raise InvariantError(
                     f"actions x_{k+1}, x_{l+1} do not commute")
+
+
+def run_optimized(code: str) -> str:
+    """stdout and stderr of code run under python -O on this package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(src)})
+    return done.stdout + done.stderr
 
 
 def check_complex(C, deep: bool = False):

@@ -1,8 +1,5 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -16,9 +13,9 @@ from braidhom.bimodule import (Bimodule, BimoduleMap, GradedFreeBasis,
 from braidhom.diffobj import DiffObject
 from braidhom.linalg import InvariantError, matrix_rank
 from braidhom import mfact
-from braidhom.poly import Poly, graded_piece, phi
+from braidhom.poly import Poly, graded_piece, phi, unpack
 
-from axioms import check_bimodule, compose
+from axioms import check_bimodule, compose, run_optimized
 
 
 def test_constructors_satisfy_axioms():
@@ -252,11 +249,13 @@ def test_graded_map_entries_agree_with_multiplication(drawn):
 
 def reference_poly_mul(p: Poly, q: Poly) -> Poly:
     """A product of two polys by its own double loop over their terms,
-    independent of poly.add_products."""
+    independent of poly.add_products: exponent tuples added, which Poly
+    packs."""
+    k = p.nvars
     terms: dict = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
+            mono = tuple(a + b for a, b in zip(unpack(m1, k), unpack(m2, k)))
             terms[mono] = terms.get(mono, 0) + c1 * c2
     return Poly(p.n, terms, p.two_sided)
 
@@ -336,7 +335,7 @@ def reference_right_mult_matrix(M: Bimodule, p: Poly) -> dict:
     out: dict = {}
     for mono, c in p.terms.items():
         m = mat_scale(Poly.const(M.n, c), mat_identity(M.rank, M.n))
-        for i, e in enumerate(mono):
+        for i, e in enumerate(unpack(mono, M.n - 1)):
             for _ in range(e):
                 m = mat_mul(m, M.actions[i])
         out = mat_add(out, m)
@@ -480,14 +479,6 @@ try:
 except InvariantError as e:
     print("raised:", e)
 """
-
-
-def run_optimized(code: str) -> str:
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src)})
-    return done.stdout + done.stderr
 
 
 def test_intertwining_check_survives_python_O():

@@ -1,7 +1,3 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from braidhom.bimodule import identity_map
@@ -13,7 +9,7 @@ from braidhom.complexes import (BComplex, ChainMap, crossing_change_ses,
 from braidhom.homology import ColumnData, DegreeWindow, scan_bounds
 from braidhom.linalg import InvariantError
 
-from axioms import check_complex, compose
+from axioms import check_complex, compose, run_optimized
 
 
 def test_crossing_complexes_are_complexes():
@@ -138,9 +134,6 @@ except InvariantError as e:
 
 def test_chain_map_check_survives_python_O():
     # the identity in degree 0 alone: d then f is d, f then d is zero
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHAIN_MAP],
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src)})
-    assert done.stdout.startswith("raised: square at degree -1 does not "
-                                  "commute"), done.stdout + done.stderr
+    out = run_optimized(OPTIMIZED_CHAIN_MAP)
+    assert out.startswith("raised: square at degree -1 does not "
+                          "commute"), out

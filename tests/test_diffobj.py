@@ -9,7 +9,7 @@ from braidhom.braid import Word
 from braidhom.complexes import rouquier_complex
 from braidhom.diffobj import DiffObject, conjugate
 from braidhom.homology import ColumnData
-from braidhom.poly import Poly
+from braidhom.poly import Poly, pack
 from braidhom.rational import quotient
 
 
@@ -135,7 +135,8 @@ def reference_eliminate(obj: DiffObject):
         r0, c0 = min(const, key=lambda rc: (
             len(rows.get(rc[0], ())) * len(cols.get(rc[1], ())), rc))
         alpha = rows[r0][c0]
-        inv = Poly.const(n, quotient(1, alpha.terms[(0,) * (n - 1)]))
+        one = pack((0,) * (n - 1), n - 1)
+        inv = Poly.const(n, quotient(1, alpha.terms[one]))
         row = {j: p for j, p in rows[r0].items() if j != c0}
         col = {i: p for i, p in cols[c0].items() if i != r0}
         for i, pi in col.items():

@@ -1,10 +1,7 @@
 """Triply graded closure homology: anchors, frozen tables, trace checks."""
 
 import itertools
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -21,6 +18,8 @@ from braidhom.homology import (ColumnData, DegreeWindow, TriGradedSpace,
 from braidhom.linalg import InvariantError
 from braidhom.mfact import sln_homology
 from braidhom.oracle import homfly_oracle
+
+from axioms import run_optimized
 
 ORIGIN = [[0, 0, 0, 1]]
 TREFOIL = [[-1, 1, 4, 1], [1, 1, 0, 1], [1, 2, 4, 1]]
@@ -177,12 +176,8 @@ except InvariantError as e:
 
 
 def test_tower_check_survives_python_O():
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_TOWER],
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src)})
-    assert done.stdout.startswith("raised: induced maps do not square"), \
-        done.stdout + done.stderr
+    out = run_optimized(OPTIMIZED_TOWER)
+    assert out.startswith("raised: induced maps do not square"), out
 
 
 OPTIMIZED_WORD_MAP = """
@@ -213,12 +208,8 @@ except InvariantError as e:
 def test_word_complex_check_survives_python_O():
     # one conjugated word-map entry multiplied by x_1 is no longer of
     # degree 0; the word complex is checked before its pivots cancel
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_WORD_MAP],
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src)})
-    assert done.stdout.startswith("raised: qdeg mismatch"), \
-        done.stdout + done.stderr
+    out = run_optimized(OPTIMIZED_WORD_MAP)
+    assert out.startswith("raised: qdeg mismatch"), out
 
 
 def _knot_words() -> list:

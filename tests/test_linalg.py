@@ -1,9 +1,6 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -17,6 +14,8 @@ from braidhom.linalg import (Echelon, InvariantError, RowSpace,
                              SubquotientBasis, _scaled_int_row, mat_mat,
                              mat_vec, matrix_rank, rows_from_entries)
 from braidhom.rational import quotient
+
+from axioms import run_optimized
 
 
 def naive_rref_rank(dense):
@@ -360,15 +359,6 @@ try:
 except InvariantError as e:
     print("raised:", e)
 """
-
-
-def run_optimized(code: str) -> str:
-    """stdout and stderr of code run under python -O on this package."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(src)})
-    return done.stdout + done.stderr
 
 
 def test_solve_length_check_survives_python_O():

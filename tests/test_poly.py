@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from braidhom.braid import Word
 from braidhom.homology import homfly_homology
-from braidhom.poly import (PIECE_CACHE_SIZE, GradedPiece, Poly, graded_piece,
-                           monomial_count, monomials, phi,
-                           power_sum_difference, psi_quotient)
+from braidhom.poly import (LIMIT, PIECE_CACHE_SIZE, GradedPiece, Poly,
+                           graded_piece, monomial_count, monomials, pack,
+                           phi, power_sum_difference, psi_quotient, unpack)
+
+from axioms import run_optimized
 
 
 def test_last_variable_elimination():
@@ -102,7 +104,7 @@ def test_monomial_enumeration():
 def test_graded_piece_basis_and_dimensions():
     gp = graded_piece(3, 6, False)
     assert gp.dim == 4  # monomials of total exponent 3 in 2 vars
-    assert gp.basis == tuple(monomials(2, 3))
+    assert gp.basis == tuple(pack(e, 2) for e in monomials(2, 3))
     # odd and negative degrees are empty
     assert graded_piece(3, 5, False).dim == 0
     assert graded_piece(3, -2, True).dim == 0
@@ -112,13 +114,15 @@ def test_graded_piece_basis_and_dimensions():
 def test_shift_tables_index_the_product_monomials():
     for n, degree, two_sided in ((3, 4, False), (3, 2, True), (1, 0, False)):
         src = graded_piece(n, degree, two_sided)
+        nvars = 2 * (n - 1) if two_sided else n - 1
         for k in range(3):
             tgt = graded_piece(n, degree + 2 * k, two_sided)
-            for e in monomials(len(src.basis[0]), k):
-                rows = src.shift(e)
-                assert src.shift(e) is rows
-                assert [tgt.basis[r] for r in rows] == [
-                    tuple(a + b for a, b in zip(e, m)) for m in src.basis]
+            for e in monomials(nvars, k):
+                rows = src.shift(pack(e, nvars))
+                assert src.shift(pack(e, nvars)) is rows
+                assert [unpack(tgt.basis[r], nvars) for r in rows] == [
+                    tuple(a + b for a, b in zip(e, unpack(m, nvars)))
+                    for m in src.basis]
 
 
 def test_pipeline_builds_each_piece_once(monkeypatch):
@@ -142,7 +146,7 @@ def test_piece_cache_stays_bounded():
     # keeps its bound, and an evicted piece comes back equal
     graded_piece.cache_clear()
     first = graded_piece(3, 6, True)
-    rows = first.shift((1, 0, 0, 1))
+    rows = first.shift(pack((1, 0, 0, 1), 4))
     for d in range(0, 2 * (PIECE_CACHE_SIZE + 100), 2):
         graded_piece(2, d, False)
     info = graded_piece.cache_info()
@@ -151,7 +155,7 @@ def test_piece_cache_stays_bounded():
     again = graded_piece(3, 6, True)
     assert again is not first
     assert again.basis == first.basis
-    assert again.shift((1, 0, 0, 1)) == rows
+    assert again.shift(pack((1, 0, 0, 1), 4)) == rows
 
 
 def test_split_xy():
@@ -162,6 +166,89 @@ def test_split_xy():
     assert pairs[(2,)] == Poly.const(n, -1)
 
 
+# -- the packed monomial layout ----------------------------------------------
+
+@st.composite
+def monomial_lists(draw):
+    """A ring (n = 1 to 4, one- or two-sided) and one to six exponent
+    tuples of it, each of total degree below LIMIT: every exponent
+    small, or near LIMIT / nvars, so that fields near the top of their
+    range are packed and some products pass the bound."""
+    n = draw(st.integers(1, 4))
+    two_sided = draw(st.booleans())
+    nvars = 2 * (n - 1) if two_sided else n - 1
+    top = (LIMIT - 1) // max(nvars, 1)
+    exps = st.one_of(st.integers(0, 3), st.integers(top - 3, top))
+    tuples = draw(st.lists(st.tuples(*[exps] * nvars), min_size=1,
+                           max_size=6))
+    return n, two_sided, nvars, tuples
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(monomial_lists())
+def test_packed_monomials_match_the_exponent_tuple_reference(case):
+    n, two_sided, nvars, tuples = case
+    packed = [pack(e, nvars) for e in tuples]
+    assert [unpack(m, nvars) for m in packed] == tuples
+    # int order is the lex order of the exponent tuples
+    assert [unpack(m, nvars) for m in sorted(packed)] == sorted(tuples)
+    for e, m in zip(tuples, packed):
+        p = Poly(n, {e: 1}, two_sided)
+        assert p.terms == {m: 1}
+        assert p.degree() == p.homogeneous_degree() == 2 * sum(e)
+    for a, ma in zip(tuples, packed):
+        for b, mb in zip(tuples, packed):
+            total = tuple(x + y for x, y in zip(a, b))
+            pa, pb = Poly(n, {a: 1}, two_sided), Poly(n, {b: 1}, two_sided)
+            if sum(total) < LIMIT:
+                assert ma + mb == pack(total, nvars)
+                assert (pa * pb).terms == {ma + mb: 1}
+            else:
+                # the sum carries out of no field, and Poly rejects it
+                assert unpack(ma + mb, nvars) == total
+                with pytest.raises(ValueError, match="reaches"):
+                    pa * pb
+
+
+def test_total_degree_below_the_limit_is_accepted():
+    for n, two_sided in ((3, False), (4, False), (3, True)):
+        nvars = 2 * (n - 1) if two_sided else n - 1
+        for first in (LIMIT - 1, 1):
+            edge = (first,) + (0,) * (nvars - 2) + (LIMIT - 1 - first,)
+            assert Poly(n, {edge: 1}, two_sided).degree() == 2 * (LIMIT - 1)
+            past = edge[:-1] + (edge[-1] + 1,)
+            with pytest.raises(ValueError, match="not below"):
+                Poly(n, {past: 1}, two_sided)
+    # a product reaching the bound raises instead of carrying
+    edge = Poly(2, {(LIMIT - 1,): 1})
+    with pytest.raises(ValueError, match="reaches"):
+        edge * Poly.x(2, 1)
+
+
+OPTIMIZED_MONOMIALS = """
+from braidhom.poly import LIMIT, Poly
+assert False, "asserts must be stripped"
+for build in (lambda: Poly(3, {(1, 0, 0): 1}),
+              lambda: Poly(3, {(1, -1): 1}),
+              lambda: Poly(3, {(LIMIT, 0): 1}),
+              lambda: Poly(3, {(LIMIT - 1, 0): 1}) * Poly.x(3, 2)):
+    try:
+        build()
+    except ValueError as e:
+        print("raised:", e)
+"""
+
+
+def test_monomial_checks_survive_python_O():
+    # wrong length, negative exponent, total degree LIMIT, and a product
+    # of total degree LIMIT
+    out = run_optimized(OPTIMIZED_MONOMIALS).splitlines()
+    assert len(out) == 4, out
+    for line, want in zip(out, ("needs 2 exponents", "negative exponent",
+                                "not below 32768", "reaches 32768")):
+        assert line.startswith("raised: ") and want in line, out
+
+
 # -- canonical coefficients -------------------------------------------------
 
 def is_canonical(c) -> bool:
@@ -170,14 +257,15 @@ def is_canonical(c) -> bool:
 
 def test_integral_coefficients_are_stored_as_ints():
     n = 3
+    x1, x2, one = pack((1, 0), 2), pack((0, 1), 2), pack((0, 0), 2)
     p = Poly(n, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
-    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
-    assert type(p.terms[(1, 0)]) is int
-    assert type(p.terms[(0, 1)]) is Fraction
-    assert type(Poly.const(n, Fraction(-6, 3)).terms[(0, 0)]) is int
+    assert p.terms == {x1: 2, x2: Fraction(1, 2)}
+    assert type(p.terms[x1]) is int
+    assert type(p.terms[x2]) is Fraction
+    assert type(Poly.const(n, Fraction(-6, 3)).terms[one]) is int
     half = Poly.const(n, Fraction(1, 2))
     for q in (half + half, 2 * half, half * Poly.const(n, 2), -(-2 * half)):
-        assert q == Poly.one(n) and type(q.terms[(0, 0)]) is int
+        assert q == Poly.one(n) and type(q.terms[one]) is int
 
 
 def test_inexact_coefficients_raise_type_error():
@@ -237,6 +325,7 @@ def test_mixed_arithmetic_matches_the_fraction_reference(a, b):
                      (pa - pb, reference_add(
                          ref_a, {m: -c for m, c in ref_b.items()})),
                      (pa * pb, reference_mul(ref_a, ref_b))):
+        ref = {pack(m, 2): c for m, c in ref.items()}
         assert got.terms == ref
         assert all(is_canonical(c) for c in got.terms.values())
         assert hash(got) == hash((3, False, frozenset(ref.items())))
