@@ -90,6 +90,7 @@ from .laurent import Laurent2
 from .linalg import (InvariantError, SubquotientBasis, cleared, mat_mat,
                      matrix_rank)
 from .poly import graded_piece, phi
+from .rational import exact
 
 
 class DegreeWindow:
@@ -255,9 +256,11 @@ def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
 # A slicer cuts one column into finite-dimensional slices keyed sigma and
 # answers sigmas(deg), dim(sigma), next(sigma) / prev(sigma) (the slices
 # the column differential maps sigma to and from), diff(sigma) (that
-# differential, in slice coordinates) and cross(parts, other, sigma)
-# (the slice block of a degree-0 map from this column to another column,
-# cut into parts once by split(map, other)).
+# differential, in slice coordinates), and for a degree-0 map from this
+# column to another column, cut into parts once by split(map, other),
+# cross(parts, other, sigma) (its block from slice sigma to slice sigma)
+# and step(parts, other, sigma) (its block from slice sigma to slice
+# next(sigma), for a map that moves slices like the differential).
 
 
 class ColumnSlices:
@@ -266,7 +269,7 @@ class ColumnSlices:
     Bases and differential blocks are cached, and the differential is
     split by generator groups once."""
 
-    __slots__ = ("col", "groups", "two_sided", "_bases", "_mats", "_where",
+    __slots__ = ("col", "groups", "two_sided", "_bases", "_diffs", "_where",
                  "_diff")
 
     def __init__(self, col: DiffObject, two_sided: bool = False):
@@ -278,7 +281,7 @@ class ColumnSlices:
         self._where = {g: (h, i) for h, ids in self.groups.items()
                        for i, g in enumerate(ids)}
         self._bases: dict = {}
-        self._mats: dict = {}
+        self._diffs: dict = {}
         self._diff = self.split(col.diff, self)
 
     def sigmas(self, deg: int) -> list:
@@ -328,17 +331,16 @@ class ColumnSlices:
             return {}
         return graded_map_entries(loc, bs, bt)
 
-    def matrix(self, src, tgt) -> dict:
-        """Scalar matrix of the column differential between two slices."""
-        if (src, tgt) not in self._mats:
-            self._mats[(src, tgt)] = self._block(self._diff, self, src, tgt)
-        return self._mats[(src, tgt)]
-
     def diff(self, sigma) -> dict:
-        return self.matrix(sigma, self.next(sigma))
+        if sigma not in self._diffs:
+            self._diffs[sigma] = self.step(self._diff, self, sigma)
+        return self._diffs[sigma]
 
     def cross(self, parts: dict, other: "ColumnSlices", sigma) -> dict:
         return self._block(parts, other, sigma, sigma)
+
+    def step(self, parts: dict, other: "ColumnSlices", sigma) -> dict:
+        return self._block(parts, other, sigma, self.next(sigma))
 
 
 class FoldedSlices:
@@ -346,14 +348,16 @@ class FoldedSlices:
     the weight-p pieces of collapsed degree q for the weights p of that
     parity, ascending.  The differential moves the weight by one either
     way and maps (q, parity) to (q + N + 1, 1 - parity); cross reads
-    only the weight-preserving blocks of a degree-0 map."""
+    only the weight-preserving blocks of a degree-0 map, and step only
+    the blocks that move the weight by one, as the differential does."""
 
-    __slots__ = ("sl", "N", "_offsets")
+    __slots__ = ("sl", "N", "_offsets", "_diffs")
 
     def __init__(self, col: DiffObject, N: int):
         self.sl = ColumnSlices(col)
         self.N = N
         self._offsets: dict = {}
+        self._diffs: dict = {}
 
     def sigmas(self, deg: int) -> list:
         return [(deg, 0), (deg, 1)]
@@ -399,10 +403,9 @@ class FoldedSlices:
         return out
 
     def diff(self, sigma) -> dict:
-        nxt = self.next(sigma)
-        return self._blocks(self.offsets(sigma)[0], self.offsets(nxt)[0],
-                            (-1, 1), lambda p, pt: self.sl.matrix(
-                                (p, sigma[0]), (pt, nxt[0])))
+        if sigma not in self._diffs:
+            self._diffs[sigma] = self.step(self.sl._diff, self, sigma)
+        return self._diffs[sigma]
 
     def split(self, mat: dict, other: "FoldedSlices") -> dict:
         return self.sl.split(mat, other.sl)
@@ -411,6 +414,12 @@ class FoldedSlices:
         return self._blocks(self.offsets(sigma)[0], other.offsets(sigma)[0],
                             (0,), lambda p, _pt: self.sl.cross(
                                 parts, other.sl, (p, sigma[0])))
+
+    def step(self, parts: dict, other: "FoldedSlices", sigma) -> dict:
+        nxt = self.next(sigma)
+        return self._blocks(self.offsets(sigma)[0], other.offsets(nxt)[0],
+                            (-1, 1), lambda p, pt: self.sl._block(
+                                parts, other.sl, (p, sigma[0]), (pt, nxt[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +461,9 @@ def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
                    sq_tgt: SubquotientBasis) -> dict:
     """Map induced on slice homology by a slice matrix {(row, col):
     coefficient} (rows in tdim coordinates; coefficients and induced
-    entries are ints or Fractions): push each representative forward
-    and express it in the target subquotient.
+    entries are ints or Fractions): push each representative forward,
+    in canonical form (rational.exact), and express it in the target
+    subquotient.
 
     Pushes are sparse: a source with standard representatives
     represents its c-th class by the standard vector at its c-th class
@@ -473,6 +483,9 @@ def induced_matrix(entries: dict, tdim: int, sq_src: SubquotientBasis,
                 if val:
                     for r, v in by_col.get(x, ()):
                         img[r] = img.get(r, 0) + v * val
+            for r, v in img.items():
+                if type(v) is not int:
+                    img[r] = exact(v)
         if not sq_tgt.whole:
             dense = [0] * tdim
             for r, v in img.items():
@@ -568,6 +581,26 @@ def cancel_word_pivots(n: int, cols: dict, kmaps: dict):
     return out_cols, out_maps
 
 
+def word_columns(C: BComplex, N) -> dict:
+    """{k: column of term k} of a word complex: contraction columns for
+    N = None, folded columns (mfact.folded_column) for a positive N."""
+    if N is None:
+        return {k: koszul_column(C.objs[k]) for k in C.degrees}
+    from .mfact import folded_column  # mfact imports this module
+    return {k: folded_column(C.objs[k], N) for k in C.degrees}
+
+
+def check_columns(cols: dict, N):
+    """Homogeneity and d^2 = 0 of word columns: a contraction column's
+    differential has degree (-1, 0), a folded one's collapsed degree
+    N + 1 (InvariantError if not)."""
+    for col in cols.values():
+        if N is None:
+            col.check(dh=-1, dq=0)
+        else:
+            col.check(dh=None, dq=N + 1)
+
+
 class ColumnData:
     """Columns of a word complex, its differentials extended to them
     (kmaps, each split once by its source slicer), one slicer per
@@ -616,14 +649,7 @@ class ColumnData:
     def __init__(self, C: BComplex, N, simplify: bool):
         self.C = C
         self.degrees = list(C.degrees)
-        if N is None:
-            build = koszul_column
-        else:
-            from .mfact import folded_column  # mfact imports this module
-
-            def build(M):
-                return folded_column(M, N)
-        cols = {k: build(C.objs[k]) for k in self.degrees}
+        cols = word_columns(C, N)
         kmaps = {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
                  for k in self.degrees if k + 1 in C.objs and C.diff_mat(k)}
         if simplify:
@@ -631,11 +657,7 @@ class ColumnData:
             for k in self.degrees:
                 cols[k], F[k], G[k] = cols[k].eliminate()
             kmaps = {k: conjugate(F[k + 1], m, G[k]) for k, m in kmaps.items()}
-        for col in cols.values():
-            if N is None:
-                col.check(dh=-1, dq=0)
-            else:
-                col.check(dh=None, dq=N + 1)
+        check_columns(cols, N)
         if simplify and not any(col.diff for col in cols.values()):
             cols, kmaps = cancel_word_pivots(C.n, cols, kmaps)
         self.cols = cols

@@ -41,10 +41,23 @@ Every complex is built once.  The cube tensors each distinct prefix of
 letter complexes once and builds its vertex complexes from those
 prefixes; an edge tensors its slot's inclusion and projection with the
 identities of the later letters, so the two maps land on its two
-vertices' own complexes and on one middle complex.  Each slice of an
-edge is visited by one step that builds its projection and inclusion
-blocks, factors each once, checks exactness on those factorizations,
-and hands each factorization to the one snake lift that uses it.
+vertices' own complexes and on one middle complex.
+
+Every term of the tensored sequence is free, so each word degree k
+splits as left S-modules.  An edge builds once per k a degree-0 section
+s of the projection (s(e_c) is Echelon.solve of the projection in the
+degree of generator c) and a retraction r of the inclusion (r(e_a)
+solves the inclusion for e_a - s(pi(e_a))), one factorization per map
+and degree, and checks r iota = 1, pi s = 1, iota r + s pi = 1 and
+pi iota = 0 as polynomial identities; with the generator counts they
+make every slice of the term exact.  Extended to the columns, they give
+delta_k = r d_E s, a chain map from the source column to the target
+column (d_X delta + delta d_Y = 0, checked once per column).  The
+connecting map on a slice is the map delta_k induces from the source
+slice homology at sigma to the target slice homology at next(sigma),
+cut from delta_k by one slice block.  It is the snake lift: two lifts of
+a class differ by iota(x), so their images differ by the boundary d_X x,
+and expressing modulo boundaries forgets it.
 
 Gradings.  Let s0 = (w1 + 1 - n) // 2 where w1 is the writhe counting
 singular letters as positive.  A class of the mu-minus-slot resolution
@@ -57,13 +70,14 @@ q + (N+1)(mu + n - 1 - w1), 0).  The folded extension column exists
 only where the potential vanishes on the extension bimodule; elsewhere
 folding raises ValueError.
 
-Raw (unsimplified) columns are mandatory throughout: the snake lifts
-need termwise exactness of the literal sequence, which elimination
-would destroy.  Vertices and edges use the slice engine of homology
-(ColumnData); unlike the HOMFLY and sl(N) pipelines, which drop each
-degree's stages, the cube keeps every stage-one subquotient and
-induced map, because its edges and its total complex revisit them
-after the scan.
+Raw (unsimplified) columns are mandatory throughout: the splitting
+lives on the literal terms of the sequence, and delta joins their
+columns, which elimination would replace.  Vertices use the slice engine
+of homology (ColumnData), and edges its slicers; the middle complex
+keeps only its columns, whose generators bound the degree scan.
+Unlike the HOMFLY and sl(N) pipelines, which drop each degree's stages,
+the cube keeps every stage-one subquotient and induced map, because its
+edges and its total complex revisit them after the scan.
 """
 
 from __future__ import annotations
@@ -71,16 +85,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bimodule import mat_mul
+from .bimodule import (Bimodule, GradedFreeBasis, graded_map_entries,
+                       mat_add, mat_eq, mat_identity, mat_mul, mat_neg)
 from .braid import NEG, POS, SING, Word
 from .complexes import (BComplex, ChainMap, crossing_change_ses,
                         letter_complex, tensor, tensor_chain_maps)
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
-                       column_map, grading_shift, scan_bounds, scan_degrees,
-                       tower_homology)
-from .linalg import (Echelon, InvariantError, cleared, mat_mat, mat_vec,
-                     matrix_rank, rows_from_entries)
-from .poly import monomial_count
+                       check_columns, column_map, grading_shift,
+                       induced_matrix, scan_bounds, scan_degrees,
+                       tower_homology, word_columns)
+from .linalg import (Echelon, InvariantError, mat_mat, matrix_rank,
+                     rows_from_entries)
+from .poly import Poly, monomial_count
 from .rational import exact, quotient
 
 
@@ -93,7 +109,8 @@ class ExtensionRealization:
     chosen nonzero scalar on the inclusion.
 
     The scalar multiplies the downstream connecting map: iota is divided
-    by scale, so the snake lift through iota picks up the factor scale.
+    by scale, so its retraction, and with it the connecting map, picks up
+    the factor scale.
     """
 
     __slots__ = ("n", "i", "scale", "X", "E", "Y1", "iota", "pi")
@@ -200,19 +217,18 @@ class _CubeColumns(ColumnData):
 
 class _Edge:
     """Wall-crossing data for flipping one singular slot at one vertex:
-    the middle word complex, the column-level structure maps (split by
-    their source slicers), the factored slice blocks no snake has used
-    yet, and the cached connecting maps per slice."""
+    the middle columns (the degree scan reads their generators), the
+    connecting chain maps delta_k from the source column k to the
+    target column k (split by their source slicers), and the cached
+    connecting maps per slice."""
 
-    __slots__ = ("tgt_key", "src", "tgt", "mid", "iota_cols", "pi_cols",
-                 "_w", "_unused")
+    __slots__ = ("tgt_key", "src", "tgt", "mid", "delta", "_w")
 
-    def __init__(self, tgt_key, src, tgt, mid, iota_cols, pi_cols):
+    def __init__(self, tgt_key, src, tgt, mid, delta):
         self.tgt_key = tgt_key
         self.src, self.tgt, self.mid = src, tgt, mid
-        self.iota_cols, self.pi_cols = iota_cols, pi_cols
+        self.delta = delta
         self._w = {}
-        self._unused = {}
 
     def w(self, k, sigma) -> dict:
         key = (k, sigma)
@@ -222,11 +238,9 @@ class _Edge:
 
     def maps(self) -> dict:
         """Connecting maps on every populated source slice, checked to
-        commute with the induced word-direction differentials; the
-        factored blocks no snake took are dropped afterwards."""
+        commute with the induced word-direction differentials."""
         src = self.src
         out = {key: self.w(*key) for key in src.populated()}
-        self._unused.clear()
         for (k, sigma), wm in out.items():
             lhs = mat_mat(self.w(k + 1, sigma), src.induced_kmap(k, sigma))
             rhs = mat_mat(self.tgt.induced_kmap(k, src.next(sigma)), wm)
@@ -242,74 +256,90 @@ class _Edge:
                                self.src.stage_dim(k, sigma))
                    for (k, sigma), wm in self._w.items() if wm)
 
-    def _exact_slice(self, k, sigma):
-        """Build the projection (middle to source) and inclusion (target
-        to middle) blocks of one slice, factor each once, check on those
-        factorizations that the tensored sequence stays exact there
-        (InvariantError if not), and keep both for the snakes.  The
-        projection after inclusion is multiplied with the inclusion
-        cleared to integers: a rational wall scale makes every inclusion
-        block a Fraction matrix, and a nonzero scale does not change
-        whether the product vanishes."""
-        mid_sl = self.mid.slicers[k]
-        pi_m = mid_sl.cross(self.pi_cols[k], self.src.slicers[k], sigma)
-        io_m = self.tgt.slicers[k].cross(self.iota_cols[k], mid_sl, sigma)
-        dx, dy, de = (data.dim(k, sigma)
-                      for data in (self.tgt, self.src, self.mid))
-        pi = Echelon(rows_from_entries(pi_m, dy), de)
-        iota = Echelon(rows_from_entries(io_m, de), dx)
-        for failed, what in (
-                (de != dx + dy, "slice ranks are not exact"),
-                (pi.rank != dy, "projection is not onto"),
-                (iota.rank != dx, "inclusion is not injective"),
-                (mat_mat(pi_m, cleared(io_m)),
-                 "projection after inclusion is nonzero")):
-            if failed:
-                raise InvariantError(f"{what} at step {k}, slice {sigma}")
-        self._unused[(k, sigma, "pi")] = pi
-        self._unused[(k, sigma, "iota")] = iota
-
-    def _take(self, k, sigma, half: str) -> Echelon:
-        """One factored block of a checked slice, handed out once: the
-        projection at sigma serves the snake at sigma, the inclusion at
-        sigma the snake that lands there."""
-        if (k, sigma, half) not in self._unused:
-            self._exact_slice(k, sigma)
-        return self._unused.pop((k, sigma, half))
-
     def _snake(self, k, sigma) -> dict:
-        """Connecting homomorphism on one slice: lift a class through the
-        projection, apply the middle column differential, pull back
-        through the inclusion, express in the target slice homology."""
+        """Connecting homomorphism on one slice: the map delta_k induces
+        from the source slice homology at sigma to the target slice
+        homology at next(sigma)."""
         sq_y = self.src.stage(k, sigma)
         if sq_y is None or sq_y.dim == 0:
             return {}
         sigma2 = self.src.next(sigma)
-        solver_pi = self._take(k, sigma, "pi")
-        solver_io = self._take(k, sigma2, "iota")
-        dcol = self.mid.slicers[k].diff(sigma)
-        de2 = self.mid.dim(k, sigma2)
         sq_x = self.tgt.stage(k, sigma2)
-        out: dict = {}
-        for c, rep in enumerate(sq_y.reps):
-            b = solver_pi.solve(list(rep))
-            if b is None:
-                raise InvariantError("projection failed to lift a cycle")
-            a = solver_io.solve(mat_vec(dcol, b, de2))
-            if a is None:
-                raise InvariantError("connecting image escapes the inclusion")
-            if sq_x is None:
-                continue
-            try:
-                coords = sq_x.express(a)
-            except ValueError as e:
-                raise InvariantError(
-                    "connecting image is not a cycle of the target slice"
-                ) from e
-            for r, val in enumerate(coords):
-                if val:
-                    out[(r, c)] = val
-        return out
+        if sq_x is None:
+            return {}
+        block = self.src.slicers[k].step(self.delta[k], self.tgt.slicers[k],
+                                         sigma)
+        return induced_matrix(block, self.tgt.dim(k, sigma2), sq_y, sq_x)
+
+
+def _solve_columns(n: int, mat: dict, src_gens, tgt_gens, rhs: dict,
+                   rhs_gens, what: str) -> dict:
+    """A degree-0 map g of free left S-modules with mat . g = rhs.
+
+    mat maps the module on src_gens to the one on tgt_gens, rhs the
+    module on rhs_gens to the one on tgt_gens.  Column c of g is the
+    solution Echelon.solve gives in the degree of generator c, read back
+    as polynomials; each degree is factored once.  InvariantError (what)
+    when some column has no solution."""
+    by_deg: dict = {}
+    for c, g in enumerate(rhs_gens):
+        by_deg.setdefault(g, []).append(c)
+    out: dict = {}
+    for d, cs in sorted(by_deg.items()):
+        src = GradedFreeBasis(n, src_gens, d)
+        tgt = GradedFreeBasis(n, tgt_gens, d)
+        ech = Echelon(rows_from_entries(graded_map_entries(mat, src, tgt),
+                                        tgt.dim), src.dim)
+        unit = GradedFreeBasis(n, rhs_gens, d)
+        # generator c sits at coordinate unit.offsets[c], the one monomial
+        # of its degree-0 piece
+        vecs = {unit.offsets[c]: [0] * tgt.dim for c in cs}
+        picked = {key: p for key, p in rhs.items() if key[1] in cs}
+        for (r, col), v in graded_map_entries(picked, unit, tgt).items():
+            vecs[col][r] = v
+        for c in cs:
+            x = ech.solve(vecs[unit.offsets[c]])
+            if x is None:
+                raise InvariantError(f"{what} in degree {d}")
+            for a, (piece, off) in enumerate(zip(src.pieces, src.offsets)):
+                terms = {m: x[off + i] for i, m in enumerate(piece.basis)
+                         if x[off + i]}
+                if terms:
+                    out[(a, c)] = Poly(n, terms)
+    return out
+
+
+def _splitting(iota: dict, pi: dict, X: Bimodule, E: Bimodule,
+               Y: Bimodule):
+    """(r, s): a retraction r of the inclusion iota: X -> E and a section
+    s of the projection pi: E -> Y of one term of the tensored sequence,
+    as degree-0 maps of free left S-modules (poly matrices).
+
+    s(e_c) solves pi for e_c, and r(e_a) solves iota for e_a - s(pi(e_a)),
+    which pi sends to zero.  Checked, with InvariantError also under
+    python -O: the generator counts, r iota = 1, pi s = 1,
+    iota r + s pi = 1 and pi iota = 0.  Together they make the term
+    split exact as left modules, so every slice of it is exact."""
+    n = E.n
+    if E.rank != X.rank + Y.rank:
+        raise InvariantError("extension ranks are not exact")
+    s = _solve_columns(n, pi, E.gens, Y.gens, mat_identity(Y.rank, n),
+                       Y.gens, "projection is not onto")
+    rest = mat_add(mat_identity(E.rank, n), mat_neg(mat_mul(s, pi)))
+    r = _solve_columns(n, iota, X.gens, E.gens, rest, E.gens,
+                       "inclusion misses the kernel of the projection")
+    for failed, what in (
+            (mat_mul(pi, iota), "projection after inclusion is nonzero"),
+            (not mat_eq(mat_mul(r, iota), mat_identity(X.rank, n)),
+             "retraction after inclusion is not the identity"),
+            (not mat_eq(mat_mul(pi, s), mat_identity(Y.rank, n)),
+             "projection after section is not the identity"),
+            (not mat_eq(mat_add(mat_mul(iota, r), mat_mul(s, pi)),
+                        mat_identity(E.rank, n)),
+             "inclusion and section do not split the extension")):
+        if failed:
+            raise InvariantError(what)
+    return r, s
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +397,27 @@ def _make_edge(cube: _Cube, eps, t: int, N) -> _Edge:
         pi = tensor_chain_maps(pi, step_pi, e, y)
     iota.check()
     pi.check()
+    X, E, Y = iota.src, iota.tgt, pi.tgt
     try:
-        mid = _CubeColumns(iota.tgt, N)
+        mid = word_columns(E, N)
     except ValueError as e:
         raise ValueError(
             "the folded wall-crossing columns do not exist here "
             "(the potential must vanish on the extension bimodule): "
             + str(e)) from e
-    iota_cols = {k: tgt.slicers[k].split(
-        column_map(iota.comp_mat(k), tgt.cols[k], mid.cols[k]),
-        mid.slicers[k]) for k in mid.degrees}
-    pi_cols = {k: mid.slicers[k].split(
-        column_map(pi.comp_mat(k), mid.cols[k], src.cols[k]),
-        src.slicers[k]) for k in mid.degrees}
-    return _Edge(tgt_key, src, tgt, mid, iota_cols, pi_cols)
+    check_columns(mid, N)
+    delta = {}
+    for k in E.degrees:
+        r_k, s_k = _splitting(iota.comp_mat(k), pi.comp_mat(k), X.objs[k],
+                              E.objs[k], Y.objs[k])
+        col_x, col_e, col_y = tgt.cols[k], mid[k], src.cols[k]
+        d = mat_mul(column_map(r_k, col_e, col_x),
+                    mat_mul(col_e.diff, column_map(s_k, col_y, col_e)))
+        if mat_add(mat_mul(col_x.diff, d), mat_mul(d, col_y.diff)):
+            raise InvariantError(f"connecting map at step {k} is not a "
+                                 "chain map")
+        delta[k] = src.slicers[k].split(d, tgt.slicers[k])
+    return _Edge(tgt_key, src, tgt, list(mid.values()), delta)
 
 
 def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
@@ -418,9 +455,9 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
             if e == NEG:
                 cube.edges[(eps, t)] = _make_edge(cube, eps, t, N)
     cube._products = None  # vertices and edges keep the complexes they use
-    all_cols = [col for data in [*cube.vertices.values(),
-                                 *(e.mid for e in cube.edges.values())]
-                for col in data.cols.values()]
+    all_cols = [*(col for data in cube.vertices.values()
+                  for col in data.cols.values()),
+                *(col for e in cube.edges.values() for col in e.mid)]
     lo, hi, q_top = scan_bounds(all_cols, window)
     step = 1 if N is None else N + 1
     needed = (window.margin + len(slots)) * step
