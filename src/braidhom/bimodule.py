@@ -234,10 +234,6 @@ class BimoduleMap:
     def __neg__(self) -> "BimoduleMap":
         return BimoduleMap(self.src, self.tgt, mat_neg(self.mat))
 
-    def scale(self, c) -> "BimoduleMap":
-        return BimoduleMap(self.src, self.tgt,
-                           mat_scale(Poly.const(self.src.n, c), self.mat))
-
     def check(self):
         """Check the map intertwines all right actions; InvariantError if
         not."""

@@ -20,7 +20,13 @@ word-direction differentials; this is checked exactly, and a failure
 is treated as a sign or convention bug, never accepted silently.
 Rescaling the inclusion by 1/c rescales W by c, so the normalization of
 the extension (distinguished generator to distinguished generator with
-coefficient one) pins W down.
+coefficient one) pins W down.  The extension itself is never rescaled:
+each distinct crossing's sequence is built and checked once, unscaled,
+and shared by every slot on that crossing, so every edge runs on
+integers.  A slot's scale c enters only where a wall-crossing map is
+read out (the total complex, wall_crossing_map), as c times the cached
+unscaled map; the commutation and face checks and the ranks read the
+unscaled maps, whose verdicts a nonzero scalar cannot change.
 
 A word with s singular letters spans a cube with 2^s resolutions.  Each
 vertex carries the column-homology towers of its resolved word, with
@@ -97,7 +103,7 @@ from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
 from .linalg import (Echelon, InvariantError, mat_mat, matrix_rank,
                      rows_from_entries)
 from .poly import Poly, monomial_count
-from .rational import exact, quotient
+from .rational import exact
 
 
 # ---------------------------------------------------------------------------
@@ -105,36 +111,27 @@ from .rational import exact, quotient
 
 
 class ExtensionRealization:
-    """One crossing's exact sequence 0 -> X -> E -> Y[1] -> 0 with a
-    chosen nonzero scalar on the inclusion.
+    """One crossing's checked exact sequence 0 -> X -> E -> Y[1] -> 0,
+    with the inclusion normalized to coefficient one."""
 
-    The scalar multiplies the downstream connecting map: iota is divided
-    by scale, so its retraction, and with it the connecting map, picks up
-    the factor scale.
-    """
+    __slots__ = ("n", "i", "X", "E", "Y1", "iota", "pi")
 
-    __slots__ = ("n", "i", "scale", "X", "E", "Y1", "iota", "pi")
-
-    def __init__(self, n, i, scale, X, E, Y1, iota, pi):
-        self.n, self.i, self.scale = n, i, scale
+    def __init__(self, n, i, X, E, Y1, iota, pi):
+        self.n, self.i = n, i
         self.X, self.E, self.Y1 = X, E, Y1
         self.iota, self.pi = iota, pi
 
 
-def extension_realization(n: int, i: int, scale=1) -> ExtensionRealization:
+def extension_realization(n: int, i: int) -> ExtensionRealization:
     """Build and verify the crossing-change sequence at strands i, i+1.
 
     Checks: both structure maps are chain maps; the composite pi . iota
     vanishes; the ranks are termwise exact in every internal degree from
     -4 to 12; the inclusion sends the distinguished generator to the
-    distinguished extension generator with coefficient one.  Only after
-    these checks is the scalar applied.  The scale must be an int or a
-    Fraction (TypeError otherwise: a float would enter as a binary
-    fraction).
+    distinguished extension generator with coefficient one.  The
+    sequence carries no scale: a slot's scale multiplies the connecting
+    maps of its cube edges instead (see _Edge.scaled).
     """
-    scale = exact(scale)
-    if not scale:
-        raise ValueError("extension scale must be nonzero")
     X, E, Y1, iota, pi = crossing_change_ses(n, i)
     iota.check()
     pi.check()
@@ -157,12 +154,7 @@ def extension_realization(n: int, i: int, scale=1) -> ExtensionRealization:
             or list(top.terms.values()) != [1]):
         raise InvariantError("inclusion does not hit the distinguished "
                              "generator with coefficient 1")
-    if scale != 1:
-        inv = quotient(1, scale)
-        iota = ChainMap(X, E, {k: f.scale(inv)
-                               for k, f in iota.comps.items()})
-        iota.check()
-    return ExtensionRealization(n, i, scale, X, E, Y1, iota, pi)
+    return ExtensionRealization(n, i, X, E, Y1, iota, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +210,37 @@ class _CubeColumns(ColumnData):
 class _Edge:
     """Wall-crossing data for flipping one singular slot at one vertex:
     the middle columns (the degree scan reads their generators), the
-    connecting chain maps delta_k from the source column k to the
-    target column k (split by their source slicers), and the cached
-    connecting maps per slice."""
+    connecting chain maps delta_k of the unscaled sequence from the
+    source column k to the target column k (split by their source
+    slicers), the slot's scale, and the cached unscaled connecting maps
+    per slice."""
 
-    __slots__ = ("tgt_key", "src", "tgt", "mid", "delta", "_w")
+    __slots__ = ("tgt_key", "src", "tgt", "mid", "delta", "scale", "_w")
 
-    def __init__(self, tgt_key, src, tgt, mid, delta):
+    def __init__(self, tgt_key, src, tgt, mid, delta, scale):
         self.tgt_key = tgt_key
         self.src, self.tgt, self.mid = src, tgt, mid
-        self.delta = delta
+        self.delta, self.scale = delta, scale
         self._w = {}
 
     def w(self, k, sigma) -> dict:
+        """Unscaled connecting map on one slice (cached)."""
         key = (k, sigma)
         if key not in self._w:
             self._w[key] = self._snake(k, sigma)
         return self._w[key]
 
+    def scaled(self, k, sigma) -> dict:
+        """Wall-crossing map on one slice: the slot scale times the
+        unscaled map, which is what dividing the inclusion by the scale
+        would give (the splitting and express are linear)."""
+        c = self.scale
+        return {key: exact(c * v) for key, v in self.w(k, sigma).items()}
+
     def maps(self) -> dict:
-        """Connecting maps on every populated source slice, checked to
-        commute with the induced word-direction differentials."""
+        """Unscaled connecting maps on every populated source slice,
+        checked to commute with the induced word-direction differentials
+        (both sides of the square would carry the same scale)."""
         src = self.src
         out = {key: self.w(*key) for key in src.populated()}
         for (k, sigma), wm in out.items():
@@ -251,7 +253,8 @@ class _Edge:
         return out
 
     def rank(self) -> int:
-        """Total rank of the connecting maps computed so far."""
+        """Total rank of the connecting maps computed so far (the scale
+        is nonzero, so the unscaled maps have the same rank)."""
         return sum(matrix_rank(wm, self.tgt.stage_dim(k, self.src.next(sigma)),
                                self.src.stage_dim(k, sigma))
                    for (k, sigma), wm in self._w.items() if wm)
@@ -350,8 +353,8 @@ class _Cube:
     """Vertices and edges of one resolution cube, and the tensor
     products of letter-complex prefixes they are built from."""
 
-    __slots__ = ("word", "N", "window", "slots", "realizations", "letters",
-                 "vertices", "edges", "resolutions", "stabilized",
+    __slots__ = ("word", "N", "window", "slots", "scales", "realizations",
+                 "letters", "vertices", "edges", "resolutions", "stabilized",
                  "scan_lo", "scan_hi", "st2", "warnings", "_products")
 
     def __init__(self, word: Word):
@@ -417,7 +420,8 @@ def _make_edge(cube: _Cube, eps, t: int, N) -> _Edge:
             raise InvariantError(f"connecting map at step {k} is not a "
                                  "chain map")
         delta[k] = src.slicers[k].split(d, tgt.slicers[k])
-    return _Edge(tgt_key, src, tgt, list(mid.values()), delta)
+    return _Edge(tgt_key, src, tgt, list(mid.values()), delta,
+                 cube.scales[t])
 
 
 def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
@@ -433,10 +437,15 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
     for t in scales:
         if not 0 <= t < len(slots):
             raise ValueError(f"scale given for unknown singular slot {t}")
-    cube.realizations = {
-        t: extension_realization(word.n, word.entries[m][0],
-                                 scale=scales.get(t, 1))
-        for t, m in enumerate(slots)}
+    # TypeError on a float: it would enter as a binary fraction
+    cube.scales = {t: exact(scales.get(t, 1)) for t in range(len(slots))}
+    if not all(cube.scales.values()):
+        raise ValueError("extension scale must be nonzero")
+    # one checked extension per distinct crossing, shared by its slots
+    crossings = [word.entries[m][0] for m in slots]
+    ext = {i: extension_realization(word.n, i)
+           for i in dict.fromkeys(crossings)}
+    cube.realizations = {t: ext[i] for t, i in enumerate(crossings)}
     cube.letters = [None if kind == SING else letter_complex(word.n, i, kind)
                     for i, kind in word.entries]
     cube.vertices = {}
@@ -500,7 +509,8 @@ def _report_grading(word: Word, N, s0: int, eps, k, sigma):
 def _check_faces(cube: _Cube):
     """Check every square of wall-crossing maps anticommutes: the two
     paths around a face flip odd maps on different tensor factors in
-    opposite orders."""
+    opposite orders.  Reads the unscaled maps: both paths of the face of
+    slots t and u would carry the same product of their scales."""
     s = len(cube.slots)
     for eps in cube.vertices:
         minus = [t for t in range(s) if eps[t] == NEG]
@@ -579,7 +589,7 @@ def _assemble(cube: _Cube) -> TriGradedSpace:
                     if vkey[t] != NEG:
                         continue
                     edge = cube.edges[(vkey, t)]
-                    wm = edge.w(k, sigma)
+                    wm = edge.scaled(k, sigma)
                     tkey = (edge.tgt_key, k, edge.src.next(sigma))
                     if wm and tkey in tgt_index:
                         r0 = tgt_index[tkey]
@@ -610,7 +620,11 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
     the matrices of W per (word degree, slice) from the homology data of
     the negative resolution to that of the positive one, in stage-one
     coordinates.  The chain-map property and the termwise exactness of
-    the tensored sequence are checked along the way.
+    the tensored sequence are checked along the way, on the unscaled
+    sequence.  scale (an int or a Fraction, nonzero; TypeError on a
+    float, ValueError on zero) is the map that dividing the inclusion by
+    scale gives: the matrices are scale times the unscaled ones, and the
+    rank does not change.
     """
     N = None if N is None else check_N(N)
     window = window or DegreeWindow()
@@ -629,7 +643,7 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
         if tdim:
             tgt_dims[(k, sigma2)] = tdim
         if wm:
-            slices[(k, sigma)] = wm
+            slices[(k, sigma)] = edge.scaled(k, sigma)
     wmap = {
         "slices": slices,
         "rank": edge.rank(),
@@ -653,10 +667,13 @@ def vassiliev_complex(word: Word, N=None, window: DegreeWindow = None,
     """Homology of the signed total complex over the resolution cube.
 
     scales optionally rescales the extension of singular slot t by
-    scales[t], which does not change the homology (asserted by the test
-    suite).  order, a permutation of the singular slots, is validated
-    and echoed in the report but no longer enters the differential: the
-    faces anticommute, so the edges carry no sign.  Returns
+    scales[t] (an int or a Fraction, nonzero; TypeError on a float,
+    ValueError on zero): the edges of slot t enter the total complex as
+    scales[t] times their unscaled connecting maps, which does not
+    change the homology (asserted by the test suite).  order, a
+    permutation of the singular slots, is validated and echoed in the
+    report but no longer enters the differential: the faces
+    anticommute, so the edges carry no sign.  Returns
     (TriGradedSpace, report).
     """
     N = None if N is None else check_N(N)
@@ -678,7 +695,7 @@ def vassiliev_complex(word: Word, N=None, window: DegreeWindow = None,
     report = {
         "N": N,
         "order": order,
-        "scales": {t: str(cube.realizations[t].scale) for t in range(s)},
+        "scales": {t: str(c) for t, c in cube.scales.items()},
         "stabilized": cube.stabilized,
         "scan_range": (cube.scan_lo, cube.scan_hi),
         "resolutions": {

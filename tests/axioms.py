@@ -1,21 +1,29 @@
 """Axiom checks of bimodules and bimodule complexes that only the tests
 run: the pipelines check the objects they build through DiffObject,
-BimoduleMap and ChainMap instead; and run_optimized, which runs code
-under python -O to show that a check survives the stripped asserts."""
+BimoduleMap and ChainMap instead; scaled, a scalar multiple of a
+bimodule map; and run_optimized, which runs code under python -O to
+show that a check survives the stripped asserts."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 from braidhom.bimodule import (BimoduleMap, entry_degree, mat_add, mat_eq,
-                               mat_mul)
+                               mat_mul, mat_scale)
 from braidhom.linalg import InvariantError
+from braidhom.poly import Poly
 
 
 def compose(f, g):
     """The bimodule map f after g."""
     assert g.tgt is f.src or g.tgt.gens == f.src.gens
     return BimoduleMap(g.src, f.tgt, mat_mul(f.mat, g.mat))
+
+
+def scaled(f, c):
+    """The bimodule map c f, for a scalar c."""
+    return BimoduleMap(f.src, f.tgt,
+                       mat_scale(Poly.const(f.src.n, c), f.mat))
 
 
 def check_bimodule(M):

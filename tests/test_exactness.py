@@ -12,7 +12,7 @@ import pytest
 from braidhom.braid import Word
 from braidhom.diffobj import DiffObject
 from braidhom.poly import Poly
-from braidhom.wallcross import extension_realization, wall_crossing_map
+from braidhom.wallcross import vassiliev_complex, wall_crossing_map
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidhom"
 MATH_ALLOWED = {"gcd", "comb"}
@@ -78,8 +78,8 @@ def test_wall_crossing_entries_are_exact():
         values = [v for m in wmap["slices"].values() for v in m.values()]
         assert values and all(type(v) in (int, Fraction) for v in values)
         assert (Fraction(-1, 3) in values) == (scale != 1)
-    for scale in (0.1, 2.0):
+    for scale in (0.1, 0.5, 2.0):
         with pytest.raises(TypeError):
-            extension_realization(2, 1, scale=scale)
+            vassiliev_complex(Word.parse("2: 1!"), scales={0: scale})
         with pytest.raises(TypeError):
             wall_crossing_map(Word.parse("2: 1!"), scale=scale)

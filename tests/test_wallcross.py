@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from axioms import run_optimized
+from axioms import run_optimized, scaled
 
 from braidhom import complexes, wallcross
-from braidhom.braid import Word
+from braidhom.braid import NEG, Word
 from braidhom.cli import EXIT_OK, main
 from braidhom.complexes import (BComplex, ChainMap, crossing_change_ses,
                                 letter_complex, tensor, tensor_chain_maps)
@@ -21,6 +21,7 @@ from braidhom.homology import (ColumnData, ColumnSlices, DegreeWindow,
 from braidhom.laurent import Laurent2
 from braidhom.linalg import Echelon, InvariantError, mat_vec, rows_from_entries
 from braidhom.oracle import vassiliev_oracle
+from braidhom.rational import exact, quotient
 from braidhom.wallcross import (extension_realization,
                                 finite_dimensionality_check,
                                 vassiliev_complex, wall_crossing_map)
@@ -48,7 +49,9 @@ def euler_matches_trace(text: str) -> bool:
 def test_extension_realization_invariants():
     for n, i in [(2, 1), (3, 1), (3, 2)]:
         er = extension_realization(n, i)
-        assert er.scale == 1
+        top = er.iota.comp_mat(-1)[(2, 0)]
+        assert top.homogeneous_degree() == 0
+        assert list(top.terms.values()) == [1]
         er.iota.check()
         er.pi.check()
         assert set(er.X.degrees) == {-1, 0}
@@ -56,23 +59,31 @@ def test_extension_realization_invariants():
         assert set(er.E.degrees) == {-1, 0}
 
 
+def divided_inclusion(er, c) -> ChainMap:
+    """The inclusion of a crossing's sequence divided by the nonzero
+    scalar c, checked as a chain map: the sequence whose connecting map
+    a slot scale c stands for."""
+    iota = ChainMap(er.X, er.E, {k: scaled(f, quotient(1, c))
+                                 for k, f in er.iota.comps.items()})
+    iota.check()
+    return iota
+
+
 def test_extension_scale_divides_the_inclusion():
     plain = extension_realization(2, 1)
-    scaled = extension_realization(2, 1, scale=7)
+    divided = divided_inclusion(plain, 7)
     for k in plain.E.degrees:
-        a, b = plain.iota.comp_mat(k), scaled.iota.comp_mat(k)
+        a, b = plain.iota.comp_mat(k), divided.comp_mat(k)
         assert set(a) == set(b)
         for key, p in a.items():
             assert b[key] * 7 == p, (k, key)
-        assert plain.pi.comp_mat(k) == scaled.pi.comp_mat(k)
 
 
 def test_extension_scale_must_be_nonzero():
-    try:
-        extension_realization(2, 1, scale=0)
-        assert False, "expected a zero scale to raise"
-    except ValueError:
-        pass
+    with pytest.raises(ValueError, match="nonzero"):
+        wall_crossing_map(Word.parse("2: 1!"), scale=0)
+    with pytest.raises(ValueError, match="nonzero"):
+        vassiliev_complex(Word.parse("2: 1! 1! 1"), scales={1: 0})
 
 
 def test_extension_checks_raise_invariant_error(monkeypatch):
@@ -81,7 +92,7 @@ def test_extension_checks_raise_invariant_error(monkeypatch):
     def doubled(degrees):
         def ses(n, i):
             X, E, Y1, iota, pi = crossing_change_ses(n, i)
-            comps = {k: f.scale(2) if k in degrees else f
+            comps = {k: scaled(f, 2) if k in degrees else f
                      for k, f in iota.comps.items()}
             return X, E, Y1, ChainMap(X, E, comps), pi
         return ses
@@ -181,14 +192,15 @@ def reference_wall_map(text: str, N, scale, slices) -> dict:
     word = Word.parse(text)
     (m,) = word.singular_positions
     n = word.n
-    er = extension_realization(n, word.entries[m][0], scale=scale)
+    er = extension_realization(n, word.entries[m][0])
     x = e = y = BComplex.identity(n)
     for i, kind in word.entries[:m]:
         x = e = y = tensor(x, letter_complex(n, i, kind))
     iota = pi = ChainMap.identity(x)
     for j, (i, kind) in enumerate(word.entries[m:], m):
         if j == m:
-            parts, step_io, step_pi = (er.X, er.E, er.Y1), er.iota, er.pi
+            parts, step_pi = (er.X, er.E, er.Y1), er.pi
+            step_io = divided_inclusion(er, scale)
         else:
             letter = letter_complex(n, i, kind)
             parts = (letter,) * 3
@@ -245,6 +257,143 @@ def test_connecting_chain_map_matches_the_per_slice_snake(text, N, scale):
     wmap, _report = wall_crossing_map(Word.parse(text), N=N, scale=scale)
     ref = reference_wall_map(text, N, scale, wmap["source_dims"])
     assert ref and typed(wmap["slices"]) == typed(ref), text
+
+
+SCALED_CASES = [("2: 1! 1 1", None, Fraction(3, 2)),
+                ("3: 1! 2", None, Fraction(3, 2)),
+                ("2: 1! 1 1", 2, Fraction(-5, 3))]
+
+
+@pytest.mark.parametrize("text, N, scale", SCALED_CASES, ids=str)
+def test_edges_run_on_integers_and_scale_on_read(monkeypatch, text, N,
+                                                 scale):
+    # the edge never sees the scale: its connecting chain map and its
+    # slice maps are integral, and the wall map is the scale times the
+    # unit-scale map, value and type
+    cubes = []
+    real = wallcross._build_cube
+
+    def keeping(*args, **kw):
+        cubes.append(real(*args, **kw))
+        return cubes[-1]
+
+    monkeypatch.setattr(wallcross, "_build_cube", keeping)
+    word = Word.parse(text)
+    base, _ = wall_crossing_map(word, N=N)
+    wmap, _ = wall_crossing_map(word, N=N, scale=scale)
+    (edge,) = cubes[-1].edges.values()
+    assert edge.scale == scale
+    unscaled = edge.maps()
+    values = [v for m in unscaled.values() for v in m.values()]
+    assert values and all(type(v) is int for v in values), text
+    coeffs = [v for parts in edge.delta.values()
+              for block in parts.values() for p in block.values()
+              for v in p.terms.values()]
+    assert coeffs and all(type(v) is int for v in coeffs), text
+    expect = {key: {rc: exact(scale * v) for rc, v in m.items()}
+              for key, m in base["slices"].items()}
+    assert typed(wmap["slices"]) == typed(expect), text
+    assert wmap["rank"] == base["rank"]
+
+
+def test_one_extension_per_crossing(monkeypatch):
+    # slots on the same crossing share one checked sequence
+    calls = []
+    real = wallcross.crossing_change_ses
+
+    def counting(n, i):
+        calls.append((n, i))
+        return real(n, i)
+
+    monkeypatch.setattr(wallcross, "crossing_change_ses", counting)
+    vassiliev_complex(Word.parse("2: 1! 1! 1"),
+                      scales={0: 7, 1: Fraction(-1, 3)})
+    assert calls == [(2, 1)]
+
+
+def bump(edge, k, sigma, row):
+    """Add one to entry (row, 0) of an edge's cached unscaled map on one
+    slice."""
+    wm = dict(edge.w(k, sigma))
+    wm[(row, 0)] = wm.get((row, 0), 0) + 1
+    edge._w[(k, sigma)] = wm
+
+
+def test_commutation_check_fires_at_a_non_unit_scale():
+    cube = wallcross._build_cube(Word.parse("2: 1! 1 1"), None,
+                                 DegreeWindow(), scales={0: Fraction(3, 2)})
+    (edge,) = cube.edges.values()
+    edge.maps()
+    # a bump in a row the target's induced differential reads breaks
+    # the square at that slice
+    for k, sigma in edge.src.populated():
+        km = edge.tgt.induced_kmap(k, edge.src.next(sigma))
+        if km:
+            bump(edge, k, sigma, next(iter(km))[1])
+            break
+    else:
+        assert False, "no slice with an induced target differential"
+    with pytest.raises(InvariantError, match="does not commute"):
+        edge.maps()
+
+
+def test_face_check_fires_at_non_unit_scales():
+    # on "2: 1! 1! 1" every path around the face is zero for want of
+    # target classes, so no perturbation of a map there could break it;
+    # "3: 1! 2!" has nonzero paths
+    cube = wallcross._build_cube(Word.parse("3: 1! 2!"), None,
+                                 DegreeWindow(),
+                                 scales={0: Fraction(3, 2),
+                                         1: Fraction(-5, 3)})
+    for edge in cube.edges.values():
+        edge.maps()
+    wallcross._check_faces(cube)
+    eps = (NEG, NEG)
+    e_t = cube.edges[(eps, 0)]
+    e_tu = cube.edges[(e_t.tgt_key, 1)]
+    # a bump in a row the second edge of the path reads breaks the face
+    for k, sigma in cube.vertices[eps].populated():
+        later = e_tu.w(k, e_t.src.next(sigma))
+        if later:
+            bump(e_t, k, sigma, next(iter(later))[1])
+            break
+    else:
+        assert False, "no face with a nonzero path"
+    with pytest.raises(InvariantError, match="anticommute"):
+        wallcross._check_faces(cube)
+
+
+OPTIMIZED_COMMUTATION = """
+from fractions import Fraction
+from braidhom import wallcross
+from braidhom.braid import Word
+from braidhom.linalg import InvariantError
+assert False, "asserts must be stripped"
+real = wallcross._Edge._snake
+bumped = []
+
+def bumping(edge, k, sigma):
+    wm = real(edge, k, sigma)
+    km = edge.tgt.induced_kmap(k, edge.src.next(sigma))
+    if not bumped and km and edge.src.stage_dim(k, sigma):
+        row = next(iter(km))[1]
+        wm = dict(wm)
+        wm[(row, 0)] = wm.get((row, 0), 0) + 1
+        bumped.append((k, sigma))
+    return wm
+
+wallcross._Edge._snake = bumping
+try:
+    wallcross.wall_crossing_map(Word.parse("2: 1! 1 1"), scale=Fraction(3, 2))
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_commutation_check_survives_python_O():
+    out = run_optimized(OPTIMIZED_COMMUTATION)
+    assert out.startswith("raised: wall-crossing map does not commute "
+                          "with the induced differentials"), out
 
 
 def test_connecting_map_wants_exactly_one_singular_letter():
