@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         if simplify:
             p.add_argument("--no-simplify", action="store_true",
                            help="skip column-level elimination (cube runs "
-                                "are always raw)")
+                                "always reduce their columns)")
         if n_flag:
             p.add_argument("--N", default=None,
                            help="specialization level (integer, or 'inf')")

@@ -265,12 +265,14 @@ def column_map(dmat: dict, src_col: DiffObject, tgt_col: DiffObject) -> dict:
 
 class ColumnSlices:
     """Contraction slicer, keyed sigma = (p, j): exterior weight p and
-    internal degree j.  The differential maps (p, j) to (p - 1, j).
-    Bases and differential blocks are cached, and the differential is
-    split by generator groups once."""
+    internal degree j.  The differential maps (p, j) to (p - 1, j), so
+    step reads the blocks that move the weight by STEP.  Bases and
+    differential blocks are cached, and the differential is split by
+    generator groups once."""
 
     __slots__ = ("col", "groups", "two_sided", "_bases", "_diffs", "_where",
                  "_diff")
+    STEP = (-1,)
 
     def __init__(self, col: DiffObject, two_sided: bool = False):
         self.col = col
@@ -349,9 +351,11 @@ class FoldedSlices:
     parity, ascending.  The differential moves the weight by one either
     way and maps (q, parity) to (q + N + 1, 1 - parity); cross reads
     only the weight-preserving blocks of a degree-0 map, and step only
-    the blocks that move the weight by one, as the differential does."""
+    the blocks that move the weight by one (STEP), as the differential
+    does."""
 
     __slots__ = ("sl", "N", "_offsets", "_diffs")
+    STEP = (-1, 1)
 
     def __init__(self, col: DiffObject, N: int):
         self.sl = ColumnSlices(col)
@@ -418,8 +422,20 @@ class FoldedSlices:
     def step(self, parts: dict, other: "FoldedSlices", sigma) -> dict:
         nxt = self.next(sigma)
         return self._blocks(self.offsets(sigma)[0], other.offsets(nxt)[0],
-                            (-1, 1), lambda p, pt: self.sl._block(
+                            self.STEP, lambda p, pt: self.sl._block(
                                 parts, other.sl, (p, sigma[0]), (pt, nxt[0])))
+
+
+def check_blocks(parts: dict, moves, what: str):
+    """InvariantError unless every block of a split map, keyed (source
+    weight, target weight), moves the weight by one of moves.  cross
+    reads only the blocks that keep the weight (moves (0,)) and step
+    only those that move it by the slicer's STEP, so an entry in any
+    other block would be dropped unseen."""
+    for hs, ht in parts:
+        if ht - hs not in moves:
+            raise InvariantError(f"{what} has entries from weight {hs} to "
+                                 f"weight {ht}, a block no slice reads")
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +606,31 @@ def word_columns(C: BComplex, N) -> dict:
     return {k: folded_column(C.objs[k], N) for k in C.degrees}
 
 
+def word_maps(C: BComplex, cols: dict) -> dict:
+    """{k: the differential of C from term k to k + 1, extended to the
+    columns} (column_map), for every nonzero differential."""
+    return {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
+            for k in C.degrees if k + 1 in C.objs and C.diff_mat(k)}
+
+
+def reduce_columns(cols: dict, kmaps: dict):
+    """Cancel the constant pivots of every column (DiffObject.eliminate)
+    and conjugate the word maps {k: column k -> k + 1} onto the reduced
+    columns.  Returns (cols, conjugated word maps, F, G), with F[k]:
+    column k -> its reduced model and G[k] back: chain maps of internal
+    degree 0 with F G = 1 and G F homotopic to 1, so every slice keeps
+    its homology, and a map between columns conjugated by them induces
+    the same map on it, up to the isomorphisms they induce.  Each column
+    of cols is replaced by its reduced model in place, so a raw column
+    is freed as soon as it is reduced; a caller that keeps the raw
+    columns passes a copy."""
+    F, G = {}, {}
+    for k in cols:
+        cols[k], F[k], G[k] = cols[k].eliminate()
+    return (cols, {k: conjugate(F[k + 1], m, G[k])
+                   for k, m in kmaps.items()}, F, G)
+
+
 def check_columns(cols: dict, N):
     """Homogeneity and d^2 = 0 of word columns: a contraction column's
     differential has degree (-1, 0), a folded one's collapsed degree
@@ -611,16 +652,19 @@ class ColumnData:
     With simplify, each column is reduced by cancelling constant pivots
     (a strict chain homotopy equivalence of the column, so every slice
     keeps its homology) and the word maps are conjugated onto the
-    reduced models.  When every reduced column is left with no
-    differential, the conjugated word maps compose to zero exactly (the
-    homotopies between G F and the identity meet a zero differential),
-    and the constant pivots of the word maps are cancelled too
-    (cancel_word_pivots): the columns keep only the generators that
-    survive, with no differential, and the word maps are the reduced
-    ones between them.  A column that keeps a differential keeps its
-    conjugated word maps, which compose to zero only up to homotopy and,
-    folded, can move the weight by two (F and G mix the weights p +- 1 of
-    a pivot); FoldedSlices.cross reads only weight-keeping blocks.
+    reduced models (reduce_columns, which the resolution cube runs too,
+    keeping F and G for its edges).  When every reduced column is left
+    with no differential, the conjugated word maps compose to zero
+    exactly (the homotopies between G F and the identity meet a zero
+    differential), and the constant pivots of the word maps are
+    cancelled too (cancel_word_pivots): the columns keep only the
+    generators that survive, with no differential, and the word maps are
+    the reduced ones between them.  A column that keeps a differential
+    keeps its conjugated word maps, which compose to zero only up to
+    homotopy and, folded, can move the weight by two (F and G mix the
+    weights p +- 1 of a pivot); FoldedSlices.cross reads only
+    weight-keeping blocks (the resolution cube checks with check_blocks
+    that its maps have no others).
 
     The bimodule complex itself is deliberately NOT reduced by
     cancelling constant left-module pivots: such pivots need not respect
@@ -647,19 +691,20 @@ class ColumnData:
     __slots__ = ("C", "degrees", "cols", "kmaps", "slicers", "ranks")
 
     def __init__(self, C: BComplex, N, simplify: bool):
-        self.C = C
-        self.degrees = list(C.degrees)
         cols = word_columns(C, N)
-        kmaps = {k: column_map(C.diff_mat(k), cols[k], cols[k + 1])
-                 for k in self.degrees if k + 1 in C.objs and C.diff_mat(k)}
+        kmaps = word_maps(C, cols)
         if simplify:
-            F, G = {}, {}
-            for k in self.degrees:
-                cols[k], F[k], G[k] = cols[k].eliminate()
-            kmaps = {k: conjugate(F[k + 1], m, G[k]) for k, m in kmaps.items()}
+            cols, kmaps, _F, _G = reduce_columns(cols, kmaps)
         check_columns(cols, N)
         if simplify and not any(col.diff for col in cols.values()):
             cols, kmaps = cancel_word_pivots(C.n, cols, kmaps)
+        self._slice(C, N, cols, kmaps)
+
+    def _slice(self, C: BComplex, N, cols: dict, kmaps: dict):
+        """Keep the columns, one slicer per column and the word maps,
+        each split once by its source slicer."""
+        self.C = C
+        self.degrees = list(C.degrees)
         self.cols = cols
         self.slicers = {k: ColumnSlices(col) if N is None
                         else FoldedSlices(col, N) for k, col in cols.items()}

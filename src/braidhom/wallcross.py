@@ -58,12 +58,13 @@ and degree, and checks r iota = 1, pi s = 1, iota r + s pi = 1 and
 pi iota = 0 as polynomial identities; with the generator counts they
 make every slice of the term exact.  Extended to the columns, they give
 delta_k = r d_E s, a chain map from the source column to the target
-column (d_X delta + delta d_Y = 0, checked once per column).  The
-connecting map on a slice is the map delta_k induces from the source
-slice homology at sigma to the target slice homology at next(sigma),
-cut from delta_k by one slice block.  It is the snake lift: two lifts of
-a class differ by iota(x), so their images differ by the boundary d_X x,
-and expressing modulo boundaries forgets it.
+column (d_X delta + delta d_Y = 0, checked once per column on the raw
+columns).  The connecting map on a slice is the map delta_k, carried
+onto the reduced columns, induces from the source slice homology at
+sigma to the target slice homology at next(sigma), cut by one slice
+block.  It is the snake lift: two lifts of a class differ by iota(x),
+so their images differ by the boundary d_X x, and expressing modulo
+boundaries forgets it.
 
 Gradings.  Let s0 = (w1 + 1 - n) // 2 where w1 is the writhe counting
 singular letters as positive.  A class of the mu-minus-slot resolution
@@ -76,14 +77,23 @@ q + (N+1)(mu + n - 1 - w1), 0).  The folded extension column exists
 only where the potential vanishes on the extension bimodule; elsewhere
 folding raises ValueError.
 
-Raw (unsimplified) columns are mandatory throughout: the splitting
-lives on the literal terms of the sequence, and delta joins their
-columns, which elimination would replace.  Vertices use the slice engine
-of homology (ColumnData), and edges its slicers; the middle complex
-keeps only its columns, whose generators bound the degree scan.
-Unlike the HOMFLY and sl(N) pipelines, which drop each degree's stages,
-the cube keeps every stage-one subquotient and induced map, because its
-edges and its total complex revisit them after the scan.
+Vertices and edges run on reduced columns.  Each vertex checks its raw
+columns and reduces them (homology.reduce_columns: the column
+cancellation of ColumnData without the word-pivot one), keeping chain
+maps F (raw to reduced) and G (back), F G = 1 and G F homotopic to 1,
+which keep every slice; its word maps become F m G.  An edge builds
+delta_k on the raw columns, where the splitting lives, checks it there
+and keeps F_tgt delta_k G_src.  So at every vertex the slice homology,
+the induced word maps and the connecting maps are conjugated by one
+isomorphism: tables, ranks and slice dimensions do not change, and
+matrices are in the stage-one coordinates of the reduced columns.
+Folded F and G may mix weights, so every conjugated map is checked to
+lie in the blocks the slicers read (homology.check_blocks).  The raw
+columns, F and G are dropped once the edges are built; the middle
+complex keeps only its raw columns, whose generators bound the degree
+scan.  Unlike the HOMFLY and sl(N) pipelines, which drop each degree's
+stages, the cube keeps every stage-one subquotient and induced map,
+because its edges and its total complex revisit them after the scan.
 """
 
 from __future__ import annotations
@@ -96,10 +106,12 @@ from .bimodule import (Bimodule, GradedFreeBasis, graded_map_entries,
 from .braid import NEG, POS, SING, Word
 from .complexes import (BComplex, ChainMap, crossing_change_ses,
                         letter_complex, tensor, tensor_chain_maps)
+from .diffobj import conjugate
 from .homology import (ColumnData, DegreeWindow, TriGradedSpace, check_N,
-                       check_columns, column_map, grading_shift,
-                       induced_matrix, scan_bounds, scan_degrees,
-                       tower_homology, word_columns)
+                       check_blocks, check_columns, column_map,
+                       grading_shift, induced_matrix, reduce_columns,
+                       scan_bounds, scan_degrees, tower_homology,
+                       word_columns, word_maps)
 from .linalg import (Echelon, InvariantError, mat_mat, matrix_rank,
                      rows_from_entries)
 from .poly import Poly, monomial_count
@@ -162,14 +174,25 @@ def extension_realization(n: int, i: int) -> ExtensionRealization:
 
 
 class _CubeColumns(ColumnData):
-    """Raw columns of one word-level complex that keep every stage: the
-    edges and the assembly revisit the stage-one subquotients and the
-    induced maps of every slice after the scan."""
+    """Reduced columns of one word-level complex that keep every stage:
+    the edges and the assembly revisit the stage-one subquotients and the
+    induced maps of every slice after the scan.  The raw columns are
+    checked and reduced without the word-pivot cancellation, whose
+    reduction the edges could not map through; raw, F and G are kept
+    until the edges are built."""
 
-    __slots__ = ("_stage", "_ikm")
+    __slots__ = ("raw", "F", "G", "_stage", "_ikm")
 
     def __init__(self, C: BComplex, N):
-        super().__init__(C, N, simplify=False)
+        raw = word_columns(C, N)
+        check_columns(raw, N)
+        cols, kmaps, self.F, self.G = reduce_columns(dict(raw),
+                                                     word_maps(C, raw))
+        check_columns(cols, N)
+        self._slice(C, N, cols, kmaps)
+        for k, parts in self.kmaps.items():
+            check_blocks(parts, (0,), f"conjugated word map {k}")
+        self.raw = raw
         self._stage = {}
         self._ikm = {}
 
@@ -211,9 +234,9 @@ class _Edge:
     """Wall-crossing data for flipping one singular slot at one vertex:
     the middle columns (the degree scan reads their generators), the
     connecting chain maps delta_k of the unscaled sequence from the
-    source column k to the target column k (split by their source
-    slicers), the slot's scale, and the cached unscaled connecting maps
-    per slice."""
+    reduced source column k to the reduced target column k (split by
+    their source slicers), the slot's scale, and the cached unscaled
+    connecting maps per slice, in reduced stage-one coordinates."""
 
     __slots__ = ("tgt_key", "src", "tgt", "mid", "delta", "scale", "_w")
 
@@ -382,10 +405,24 @@ class _Cube:
         return tuple(out)
 
 
+def _middle_columns(E: BComplex, N) -> dict:
+    """Columns of an extension complex; ValueError where the folded ones
+    do not exist."""
+    try:
+        return word_columns(E, N)
+    except ValueError as e:
+        raise ValueError(
+            "the folded wall-crossing columns do not exist here "
+            "(the potential must vanish on the extension bimodule): "
+            + str(e)) from e
+
+
 def _make_edge(cube: _Cube, eps, t: int, N) -> _Edge:
     """Flip slot t at vertex eps: tensor the slot's inclusion and
     projection with the identities of the later letters, onto the two
-    vertices' own complexes and one middle complex."""
+    vertices' own complexes and one middle complex.  Each delta_k is
+    checked as a chain map on the raw columns and kept as F_tgt[k]
+    delta_k G_src[k], in the blocks the reduced slicers' step reads."""
     r, m = cube.realizations[t], cube.slots[t]
     tgt_key = eps[:t] + (POS,) + eps[t + 1:]
     src, tgt = cube.vertices[eps], cube.vertices[tgt_key]
@@ -401,25 +438,21 @@ def _make_edge(cube: _Cube, eps, t: int, N) -> _Edge:
     iota.check()
     pi.check()
     X, E, Y = iota.src, iota.tgt, pi.tgt
-    try:
-        mid = word_columns(E, N)
-    except ValueError as e:
-        raise ValueError(
-            "the folded wall-crossing columns do not exist here "
-            "(the potential must vanish on the extension bimodule): "
-            + str(e)) from e
+    mid = _middle_columns(E, N)
     check_columns(mid, N)
     delta = {}
     for k in E.degrees:
         r_k, s_k = _splitting(iota.comp_mat(k), pi.comp_mat(k), X.objs[k],
                               E.objs[k], Y.objs[k])
-        col_x, col_e, col_y = tgt.cols[k], mid[k], src.cols[k]
+        col_x, col_e, col_y = tgt.raw[k], mid[k], src.raw[k]
         d = mat_mul(column_map(r_k, col_e, col_x),
                     mat_mul(col_e.diff, column_map(s_k, col_y, col_e)))
         if mat_add(mat_mul(col_x.diff, d), mat_mul(d, col_y.diff)):
             raise InvariantError(f"connecting map at step {k} is not a "
                                  "chain map")
-        delta[k] = src.slicers[k].split(d, tgt.slicers[k])
+        sl = src.slicers[k]
+        delta[k] = sl.split(conjugate(tgt.F[k], d, src.G[k]), tgt.slicers[k])
+        check_blocks(delta[k], sl.STEP, f"connecting map at step {k}")
     return _Edge(tgt_key, src, tgt, list(mid.values()), delta,
                  cube.scales[t])
 
@@ -446,6 +479,15 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
     ext = {i: extension_realization(word.n, i)
            for i in dict.fromkeys(crossings)}
     cube.realizations = {t: ext[i] for t, i in enumerate(crossings)}
+    if N is not None:
+        # the potential acts on each edge's middle complex through its
+        # extension letter alone (every other letter is free on both
+        # sides and the potential vanishes on it), so an input outside
+        # the folded domain is refused before any vertex is built (on
+        # three strands the vertices' conjugated word maps would fail
+        # the weight-block check first)
+        for r in ext.values():
+            _middle_columns(r.E, N)
     cube.letters = [None if kind == SING else letter_complex(word.n, i, kind)
                     for i, kind in word.entries]
     cube.vertices = {}
@@ -464,6 +506,8 @@ def _build_cube(word: Word, N, window: DegreeWindow, scales=None) -> _Cube:
             if e == NEG:
                 cube.edges[(eps, t)] = _make_edge(cube, eps, t, N)
     cube._products = None  # vertices and edges keep the complexes they use
+    for data in cube.vertices.values():
+        data.raw = data.F = data.G = None  # only the edges read them
     all_cols = [*(col for data in cube.vertices.values()
                   for col in data.cols.values()),
                 *(col for e in cube.edges.values() for col in e.mid)]
@@ -618,9 +662,11 @@ def wall_crossing_map(word: Word, N=None, window: DegreeWindow = None,
     The word must contain exactly one singular letter; that letter marks
     the crossing being changed.  Returns (wmap, report) where wmap holds
     the matrices of W per (word degree, slice) from the homology data of
-    the negative resolution to that of the positive one, in stage-one
-    coordinates.  The chain-map property and the termwise exactness of
-    the tensored sequence are checked along the way, on the unscaled
+    the negative resolution to that of the positive one, in the
+    stage-one coordinates of the reduced columns (each column with its
+    constant pivots cancelled; see the module docstring).  The chain-map
+    property and the termwise exactness of the tensored sequence are
+    checked along the way, on the raw columns of the unscaled
     sequence.  scale (an int or a Fraction, nonzero; TypeError on a
     float, ValueError on zero) is the map that dividing the inclusion by
     scale gives: the matrices are scale times the unscaled ones, and the

@@ -152,8 +152,11 @@ def test_criterion_09_infrastructure_invariants():
     # connecting maps commute with the word differential (asserted inside)
     for text in ("2: 1! -1", "2: 1! 1 -1 1"):
         wall_crossing_map(Word.parse(text))
-    # cube faces commute (asserted inside the two-slot build)
-    vassiliev_complex(Word.parse("2: 1! 1! 1"))
+    # cube faces anticommute (asserted inside the two-slot builds; the
+    # paths around the face of "2: 1! 1! 1" are all zero, some of those
+    # of "3: 1! 2!" are not)
+    for text in ("2: 1! 1! 1", "3: 1! 2!"):
+        vassiliev_complex(Word.parse(text))
     # the square of the folded differential is the potential
     for n in (2, 3):
         for N in (1, 2, 3, 4):

@@ -17,10 +17,11 @@ from braidhom.complexes import (BComplex, ChainMap, crossing_change_ses,
                                 letter_complex, tensor, tensor_chain_maps)
 from braidhom.conventions import homology_euler_as_skein, match_exact
 from braidhom.homology import (ColumnData, ColumnSlices, DegreeWindow,
-                               column_map)
+                               FoldedSlices, column_map, slice_subquotient)
 from braidhom.laurent import Laurent2
 from braidhom.linalg import Echelon, InvariantError, mat_vec, rows_from_entries
 from braidhom.oracle import vassiliev_oracle
+from braidhom.poly import Poly
 from braidhom.rational import exact, quotient
 from braidhom.wallcross import (extension_realization,
                                 finite_dimensionality_check,
@@ -181,14 +182,32 @@ def test_splitting_checks_survive_python_O():
                           "projection in degree 2\n"), out
 
 
+def reduced_model(data, N, k):
+    """(slicer, F, G) of column k of raw column data reduced by
+    DiffObject.eliminate: F maps the raw column to the reduced one and G
+    back, both split by generator groups."""
+    col, F, G = data.cols[k].eliminate()
+    red = ColumnSlices(col) if N is None else FoldedSlices(col, N)
+    raw = data.slicers[k]
+    F, G = raw.split(F, red), red.split(G, raw)
+    # F and G keep the weight (contraction columns; folded columns on two
+    # strands, whose two weights a pivot joins), so cross reads all of them
+    assert all(hs == ht for parts in (F, G) for hs, ht in parts)
+    return red, F, G
+
+
 def reference_wall_map(text: str, N, scale, slices) -> dict:
     """The connecting map of a word's one singular letter by the
-    per-slice snake: on every source slice (k, sigma) of slices, factor
-    the slice blocks of the projection and of the inclusion, lift each
-    class through the projection, apply the middle column differential,
-    pull the image back through the inclusion (mat_vec, then a second
-    solve) and express it in the target slice homology.  Returns the
-    nonzero slice matrices, keyed like wall_crossing_map's slices."""
+    per-slice snake on the raw columns, read in the stage-one
+    coordinates of the reduced columns.  On every source slice (k, sigma)
+    of slices, each class of the reduced source slice homology comes in
+    through G of the source column's elimination; factor the raw slice
+    blocks of the projection and of the inclusion, lift it through the
+    projection, apply the middle column differential, pull the image
+    back through the inclusion (mat_vec, then a second solve), take it
+    out through F of the target column's elimination and express it in
+    the reduced target slice homology.  Returns the nonzero slice
+    matrices, keyed like wall_crossing_map's slices."""
     word = Word.parse(text)
     (m,) = word.singular_positions
     n = word.n
@@ -218,6 +237,10 @@ def reference_wall_map(text: str, N, scale, slices) -> dict:
     out = {}
     for k, sigma in slices:
         sigma2 = src.next(sigma)
+        red_y, _F, G = reduced_model(src, N, k)
+        red_x, F, _G = reduced_model(tgt, N, k)
+        g_m = red_y.cross(G, src.slicers[k], sigma)
+        f_m = tgt.slicers[k].cross(F, red_x, sigma2)
         pi_m = mid.slicers[k].cross(pi_parts[k], src.slicers[k], sigma)
         io_m = tgt.slicers[k].cross(io_parts[k], mid.slicers[k], sigma2)
         lift = Echelon(rows_from_entries(pi_m, src.dim(k, sigma)),
@@ -225,14 +248,17 @@ def reference_wall_map(text: str, N, scale, slices) -> dict:
         pull = Echelon(rows_from_entries(io_m, mid.dim(k, sigma2)),
                        tgt.dim(k, sigma2))
         dcol = mid.slicers[k].diff(sigma)
-        sq_x = tgt.stage(k, sigma2)
+        sq_y = slice_subquotient(red_y, sigma, {})
+        sq_x = slice_subquotient(red_x, sigma2, {})
         wm = {}
-        for c, rep in enumerate(src.stage(k, sigma).reps):
-            b = lift.solve(list(rep))
+        for c, rep in enumerate(sq_y.reps):
+            raw = [exact(v) for v in mat_vec(g_m, rep, src.dim(k, sigma))]
+            b = lift.solve(raw)
             a = pull.solve(mat_vec(dcol, b, mid.dim(k, sigma2)))
             assert b is not None and a is not None
             if sq_x is not None:
-                for r, val in enumerate(sq_x.express(a)):
+                img = [exact(v) for v in mat_vec(f_m, a, red_x.dim(sigma2))]
+                for r, val in enumerate(sq_x.express(img)):
                     if val:
                         wm[(r, c)] = val
         if wm:
@@ -396,6 +422,83 @@ def test_commutation_check_survives_python_O():
                           "with the induced differentials"), out
 
 
+def unread_entry(m: dict, src, tgt, move: int) -> dict:
+    """m plus the entry 1 from the first generator of column src to the
+    first generator of column tgt whose weight is move more."""
+    r = next(i for i, (h, _q) in enumerate(tgt.gens)
+             if h == src.gens[0][0] + move)
+    assert (r, 0) not in m
+    return {**m, (r, 0): Poly.one(src.n)}
+
+
+BLOCK_GUARDS = {"word map": "conjugated word map -?[0-9]+ has entries from "
+                            "weight 0 to weight 1",
+                "connecting map": "connecting map at step -?[0-9]+ has "
+                                  "entries from weight [01] to weight [01]"}
+
+
+@pytest.mark.parametrize("N", [None, 2], ids=str)
+@pytest.mark.parametrize("what", sorted(BLOCK_GUARDS))
+def test_weight_block_guard_catches_an_unread_entry(monkeypatch, N, what):
+    # cross reads only the blocks of a word map that keep the weight and
+    # step only those of a connecting map that move it like the column
+    # differential; one entry anywhere else must raise, not be dropped
+    real_reduce, real_conjugate = wallcross.reduce_columns, \
+        wallcross.conjugate
+    models = []
+
+    def reducing(cols, kmaps):
+        red, km, F, G = real_reduce(cols, kmaps)
+        models.append((red, F, G))
+        if what == "word map":
+            k = min(km)
+            km[k] = unread_entry(km[k], red[k], red[k + 1], 1)
+        return red, km, F, G
+
+    def conjugating(F, m, G):
+        # the reduced target column of F and source column of G
+        tgt = next(red[k] for red, Fs, _G in models for k in Fs
+                   if Fs[k] is F)
+        src = next(red[k] for red, _F, Gs in models for k in Gs
+                   if Gs[k] is G)
+        return unread_entry(real_conjugate(F, m, G), src, tgt, 0)
+
+    monkeypatch.setattr(wallcross, "reduce_columns", reducing)
+    monkeypatch.setattr(wallcross, "conjugate", conjugating)
+    with pytest.raises(InvariantError, match=BLOCK_GUARDS[what]):
+        wall_crossing_map(Word.parse("2: 1! 1 1"), N=N)
+
+
+OPTIMIZED_BLOCKS = """
+from braidhom import wallcross
+from braidhom.braid import Word
+from braidhom.linalg import InvariantError
+from braidhom.poly import Poly
+assert False, "asserts must be stripped"
+real = wallcross.reduce_columns
+
+def reducing(cols, kmaps):
+    red, km, F, G = real(cols, kmaps)
+    k = min(km)
+    r = next(i for i, (h, _q) in enumerate(red[k + 1].gens)
+             if h == red[k].gens[0][0] + 1)
+    km[k] = {**km[k], (r, 0): Poly.one(red[k].n)}
+    return red, km, F, G
+
+wallcross.reduce_columns = reducing
+try:
+    wallcross.wall_crossing_map(Word.parse("2: 1! 1 1"), N=2)
+except InvariantError as e:
+    print("raised:", e)
+"""
+
+
+def test_weight_block_guard_survives_python_O():
+    out = run_optimized(OPTIMIZED_BLOCKS)
+    assert out.startswith("raised: conjugated word map"), out
+    assert "from weight 0 to weight 1, a block no slice reads" in out, out
+
+
 def test_connecting_map_wants_exactly_one_singular_letter():
     for text in ["2: 1 1 1", "2: 1! 1! 1"]:
         try:
@@ -451,6 +554,44 @@ def test_three_strand_faces_anticommute(capsys):
         scales={0: 7, 1: Fraction(-1, 3)})
     assert report["stabilized"] and report["order"] == [1, 0]
     assert space.table() == []
+
+
+def test_face_check_compares_nonzero_paths(monkeypatch):
+    # on "2: 1! 1! 1" every path around the face is zero, so its face
+    # check shows nothing; on "3: 1! 2!" some paths are not
+    cube = wallcross._build_cube(Word.parse("3: 1! 2!"), None,
+                                 DegreeWindow())
+    for edge in cube.edges.values():
+        edge.maps()
+    real = wallcross.mat_mat
+    paths = []
+
+    def recording(a, b):
+        paths.append(real(a, b))
+        return paths[-1]
+
+    monkeypatch.setattr(wallcross, "mat_mat", recording)
+    wallcross._check_faces(cube)
+    assert paths and any(paths), (len(paths), sum(map(bool, paths)))
+
+
+# a four-letter three-strand cube, frozen from the raw-column cube
+FIGURE_EIGHT_CUBE = [[-3, -2, -4, 1], [-3, -1, 0, 1], [-1, -1, -4, 1],
+                     [-1, -1, -2, 1], [-1, 0, 0, 1], [-1, 0, 2, 1],
+                     [1, 0, -2, 1], [1, 1, 2, 1]]
+
+
+def test_four_letter_three_strand_cube():
+    word = Word.parse("3: 1! -2 1! -2")
+    assert all(res.is_knot_closure for _c, res, _m in word.resolutions())
+    space, report = vassiliev_complex(word)
+    assert report["stabilized"]
+    assert space.table() == FIGURE_EIGHT_CUBE
+    assert match_exact(homology_euler_as_skein(space),
+                       vassiliev_oracle(word).poly)
+    other, _report = vassiliev_complex(
+        word, order=[1, 0], scales={0: Fraction(3, 2), 1: Fraction(-5, 3)})
+    assert other.table() == space.table()
 
 
 def test_cube_tensors_each_pair_of_complexes_once(monkeypatch):
